@@ -93,9 +93,6 @@ class DecodingState:
 
     # -- variable helpers -------------------------------------------------
 
-    def variable_names(self) -> list[str]:
-        return [f"R{i}" for i in range(len(self.var_values))]
-
     def _live_vars(self) -> list[tuple[str, EntitySet]]:
         """Variables whose values are non-empty, with their names."""
         return [
@@ -211,10 +208,6 @@ class DecodingState:
         for token in tokens:
             state = state.feed(token)
         return state
-
-
-def valid_tokens(state: DecodingState) -> frozenset[str]:
-    return state.valid_tokens()
 
 
 def random_rollout(

@@ -15,9 +15,7 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from . import assist, interpreter, nnkernel, programmer, taskgen, trainer
+from . import assist, interpreter, programmer, taskgen, trainer
 from . import kb as kbmod
 
 # Keys echoed per iteration into the training log, in emission order.
@@ -168,16 +166,8 @@ def _cmd_train(args) -> int:
         line = json.dumps({k: entry[k] for k in _LOG_KEYS}, sort_keys=True)
         print(line, flush=True)
 
-    # Same composition as trainer.train, with the log streamed as it happens.
     print(json.dumps({"config": cfg}, sort_keys=True), flush=True)
-    store = trainer.iterative_ml(model, kb, train_items, config, dev_items, log)
-    trainer.augmented_reinforce(
-        model, kb, train_items, store, config,
-        rng=np.random.default_rng(config.seed),
-        dev_items=dev_items,
-        log=log,
-        iteration_offset=config.ml_iterations,
-    )
+    trainer.train(model, kb, train_items, dev_items, config, log)
     programmer.save_model(args.out_checkpoint, model)
     return 0
 
@@ -195,7 +185,7 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for objective in ("likelihood", "policy"):
         for seed in range(args.seed, args.seed + 3):
-            worst = max(worst, nnkernel.grad_check(seed=seed, objective=objective))
+            worst = max(worst, programmer.grad_check(seed, objective))
     print(f"max relative error {worst:.3e}")
     return 0 if worst <= 1e-4 else 1
 

@@ -18,7 +18,7 @@ programs that name an unknown property.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kb import EntitySet, KnowledgeBase, UnknownPropertyError, canon, value_kind
 
@@ -192,24 +192,6 @@ def apply_function(kb: KnowledgeBase, func: str, arg_values: list) -> EntitySet:
     raise ExecError(f"unknown function {func!r}")
 
 
-@dataclass
-class MachineState:
-    """Variables created so far. R-names are creation order, write-once."""
-
-    kb: KnowledgeBase
-    variables: list[EntitySet] = field(default_factory=list)
-
-    def define(self, value: EntitySet) -> str:
-        self.variables.append(canon(value))
-        return f"R{len(self.variables) - 1}"
-
-    def lookup(self, token: str) -> EntitySet:
-        idx = variable_index(token)
-        if idx is None or idx >= len(self.variables):
-            raise ExecError(f"undefined variable {token}")
-        return self.variables[idx]
-
-
 def execute_program(
     kb: KnowledgeBase, program: Program, initial_vars: list[EntitySet]
 ) -> EntitySet:
@@ -218,19 +200,23 @@ def execute_program(
     A program with no expressions denotes the empty set. Unknown
     properties raise ExecError.
     """
-    state = MachineState(kb)
-    for values in initial_vars:
-        state.define(values)
+    variables = [canon(values) for values in initial_vars]  # R<i> is variables[i]
     result: EntitySet = ()
     for expr in program.expressions:
         arg_values: list = []
         for kind, token in zip(SIGNATURES[expr.func], expr.args):
-            arg_values.append(state.lookup(token) if kind == "var" else token)
+            if kind == "var":
+                idx = variable_index(token)
+                if idx is None or idx >= len(variables):
+                    raise ExecError(f"undefined variable {token}")
+                arg_values.append(variables[idx])
+            else:
+                arg_values.append(token)
         try:
             result = apply_function(kb, expr.func, arg_values)
         except UnknownPropertyError as exc:
             raise ExecError(str(exc)) from exc
-        state.define(result)
+        variables.append(canon(result))
     return result
 
 
@@ -252,8 +238,10 @@ def denotation_or_empty(
 ) -> EntitySet:
     """Like run_program_text but failures denote the empty set.
 
-    Rewards during training come through here: a malformed or broken
-    program earns nothing rather than crashing the loop.
+    For scoring token streams that may not parse or run: a malformed or
+    broken program denotes nothing rather than raising. Training does not
+    come through here; it rewards the denotation the assist state
+    computed while the program was decoded.
     """
     try:
         program = parse_program(tokens, len(initial_vars), max_expressions)

@@ -72,6 +72,23 @@ def canon(values: Iterable[Value]) -> EntitySet:
     return tuple(sorted(set(values), key=_sort_key))
 
 
+def answer_f1(predicted: EntitySet, gold: EntitySet) -> tuple[float, float, float]:
+    """Precision, recall and F1 of a predicted answer set against the gold set.
+
+    An empty prediction scores 0 on all three. An empty gold set raises
+    ValueError: datasets and generated questions always carry answers,
+    so an empty one is malformed input rather than something to score.
+    """
+    if not gold:
+        raise ValueError("empty gold answer set")
+    overlap = len(set(predicted) & set(gold))
+    if overlap == 0:
+        return 0.0, 0.0, 0.0
+    precision = overlap / len(predicted)
+    recall = overlap / len(gold)
+    return precision, recall, 2.0 * precision * recall / (precision + recall)
+
+
 def check_value(value) -> Value:
     """Validate a raw value, coercing plain ints to floats."""
     if isinstance(value, bool):

@@ -5,7 +5,14 @@ closure computing input gradients from the output gradient. backward()
 walks the tape once in reverse topological order. Layers that matter for
 speed (GRU step, attention, the masked log-likelihood) are single tape
 nodes with hand-derived backward passes; everything is float64 so
-finite-difference checks are meaningful.
+finite-difference checks are meaningful. ``programmer.grad_check`` runs
+that check on the programmer's own replay, so it covers these backward
+passes as training wires them.
+
+The module holds only what the package calls: the tape ops the replay
+uses, their plain-numpy twins for search and sampling (batched over
+lanes, no tape), the masked log-softmax both sides share, and the
+checkpoint format.
 
 No GPU, no graph compiler, no broadcasting zoo. Shapes are vectors and
 matrices, which is all a one-layer seq2seq needs.
@@ -33,10 +40,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -105,16 +108,6 @@ def backward(loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # generic ops
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, (a, b))
-    if _grad_enabled:
-        def bw(g):
-            _acc(a, g)
-            _acc(b, g)
-        out._bw = bw
-    return out
 
 
 def addn(ts: list[Tensor]) -> Tensor:
@@ -197,35 +190,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
         def bw(g):
             _acc(a, g[:na])
             _acc(b, g[na:])
-        out._bw = bw
-    return out
-
-
-def vsum(t: Tensor) -> Tensor:
-    out = Tensor(t.data.sum(), (t,))
-    if _grad_enabled:
-        def bw(g):
-            _acc(t, np.full_like(t.data, float(g)))
-        out._bw = bw
-    return out
-
-
-def tanh(t: Tensor) -> Tensor:
-    od = np.tanh(t.data)
-    out = Tensor(od, (t,))
-    if _grad_enabled:
-        def bw(g):
-            _acc(t, g * (1.0 - od * od))
-        out._bw = bw
-    return out
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    od = _sigmoid_np(t.data)
-    out = Tensor(od, (t,))
-    if _grad_enabled:
-        def bw(g):
-            _acc(t, g * od * (1.0 - od))
         out._bw = bw
     return out
 
@@ -454,40 +418,23 @@ def masked_log_prob(logits: Tensor, valid_ids: np.ndarray, chosen: int) -> Tenso
     """log p(chosen) under a softmax restricted to valid_ids.
 
     chosen must be one of valid_ids; invalid logits contribute nothing to
-    the normalizer, implementing exact-zero probability for them.
+    the normalizer, implementing exact-zero probability for them. The
+    value is the chosen entry of log_probs_over, the twin search uses.
     """
     valid_ids = np.asarray(valid_ids, dtype=np.int64)
     ld = logits.data
-    sub = ld[valid_ids]
-    m = sub.max()
-    lse = m + np.log(np.exp(sub - m).sum())
     pos = np.nonzero(valid_ids == chosen)[0]
     if pos.size != 1:
         raise ValueError(f"chosen id {chosen} not among valid ids")
-    out = Tensor(ld[chosen] - lse, (logits,))
+    logps = log_probs_over(ld, valid_ids)
+    out = Tensor(logps[pos[0]], (logits,))
     if _grad_enabled:
         def bw(g):
-            p = np.exp(sub - lse)
+            p = np.exp(logps)
             gl = np.zeros_like(ld)
             np.add.at(gl, valid_ids, -float(g) * p)
             gl[chosen] += float(g)
             _acc(logits, gl)
-        out._bw = bw
-    return out
-
-
-def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Probabilities over the unmasked slots; masked slots exactly 0."""
-    od = masked_softmax_np(logits.data, mask)
-    mask = np.asarray(mask, dtype=bool)
-    out = Tensor(od, (logits,))
-    if _grad_enabled:
-        def bw(g):
-            pv = od[mask]
-            gv = g[mask]
-            dl = np.zeros_like(logits.data)
-            dl[mask] = pv * (gv - pv @ gv)
-            _acc(logits, dl)
         out._bw = bw
     return out
 
@@ -527,19 +474,6 @@ def attention_np(ap: AttentionParams, u: np.ndarray, enc: np.ndarray) -> np.ndar
     cat = np.concatenate([u, ctx], axis=1)
     out = np.tanh(cat @ ap.w_combine.data.T)
     return out[0] if single else out
-
-
-def masked_softmax_np(logits: np.ndarray, mask) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if logits.shape != mask.shape:
-        raise ValueError("logits/mask shape mismatch")
-    if not mask.any():
-        raise ValueError("all tokens masked")
-    out = np.zeros_like(logits, dtype=np.float64)
-    sub = logits[mask]
-    sub = np.exp(sub - sub.max())
-    out[mask] = sub / sub.sum()
-    return out
 
 
 def log_probs_over(logits: np.ndarray, valid_ids: np.ndarray) -> np.ndarray:
@@ -597,179 +531,24 @@ def params_to_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> ModelParams:
-    """Rebuild a ModelParams bundle from checkpoint arrays."""
+    """Rebuild a ModelParams bundle from checkpoint arrays.
 
-    def take(name):
-        return leaf(arrays[name].astype(np.float64, copy=True))
-
-    def gru(prefix):
-        return GRUParams(
-            **{f: take(f"{prefix}.{f}") for f in
-               ("wxz", "whz", "bz", "wxr", "whr", "br", "wxc", "whc", "bc")}
-        )
-
-    params = ModelParams(
-        word_emb=take("word_emb"),
-        token_emb=take("token_emb"),
-        encoder=gru("encoder"),
-        decoder=gru("decoder"),
-        attention=AttentionParams(
-            w_score=take("attention.w_score"), w_combine=take("attention.w_combine")
-        ),
-        w_out=take("w_out"),
-        w_key=take("w_key"),
-    )
-    expected = {n for n, _ in params.named_tensors()}
-    if set(arrays) != expected:
+    The two embedding tables give the model's dims. The arrays must be
+    exactly the tensors of a model with those dims, each with its shape;
+    anything else raises ValueError.
+    """
+    try:
+        n_words, embed_dim = arrays["word_emb"].shape
+        n_static, hidden = arrays["token_emb"].shape
+    except (KeyError, ValueError):
+        raise ValueError("checkpoint tensors do not match model") from None
+    # a fresh bundle of those dims names every tensor and fixes its shape
+    params = ModelParams.init(np.random.default_rng(0), n_words, n_static, embed_dim, hidden)
+    named = params.named_tensors()
+    if set(arrays) != {name for name, _ in named}:
         raise ValueError("checkpoint tensors do not match model")
-    return params
-
-
-def load_params_into(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
-    named = dict(params.named_tensors())
-    if set(named) != set(arrays):
-        raise ValueError("checkpoint tensors do not match model")
-    for name, tensor in named.items():
-        if tensor.data.shape != arrays[name].shape:
+    for name, tensor in named:
+        if arrays[name].shape != tensor.data.shape:
             raise ValueError(f"shape mismatch for {name}")
         tensor.data = arrays[name].astype(np.float64, copy=True)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def _scripted_loss(params: ModelParams, scenario: dict) -> Tensor:
-    """Unrolled encode/decode used only by grad_check.
-
-    Mirrors the programmer's wiring: encoder GRU over word ids, span-mean
-    keys, decoder GRU fed by previous-token embeddings (memory keys for
-    variable tokens), attention, static+variable logits, masked log
-    probability per step.
-    """
-    hidden = params.hidden_dim
-    n_static = params.token_emb.data.shape[0]
-    h = leaf(np.zeros(hidden))
-    enc_steps = []
-    for wid in scenario["word_ids"]:
-        h = gru_step(params.encoder, h, row(params.word_emb, int(wid)))
-        enc_steps.append(h)
-    enc = stack(enc_steps)
-    keys = [span_mean(enc, s, e) for s, e in scenario["spans"]]
-
-    def decode_logprob(script) -> Tensor:
-        dec_keys = list(keys)
-        dec_h = gru_step(params.decoder, enc_steps[-1], row(params.token_emb, 0))
-        lps = []
-        for step in script:
-            a = attention(params.attention, dec_h, enc)
-            logits = matvec(params.w_out, a)
-            if dec_keys:
-                logits = concat(logits, var_logits(params.w_key, a, dec_keys))
-            lps.append(masked_log_prob(logits, step["valid"], step["chosen"]))
-            chosen = step["chosen"]
-            if chosen >= n_static:
-                x = dec_keys[chosen - n_static]
-            else:
-                x = row(params.token_emb, chosen)
-            dec_h = gru_step(params.decoder, dec_h, x)
-            if step["creates_key"]:
-                dec_keys.append(dec_h)
-        if not lps:
-            return leaf(0.0)
-        return addn(lps)
-
-    terms = [
-        scale(decode_logprob(script), weight)
-        for script, weight in zip(scenario["scripts"], scenario["weights"])
-    ]
-    return addn(terms)
-
-
-def _make_scenario(
-    rng: np.random.Generator, n_static: int, n_words: int, objective: str, n_steps: int
-) -> dict:
-    word_ids = rng.integers(0, n_words, size=7)
-    spans = [(1, 3), (4, 6)]
-
-    def make_script(length, force_var_steps=()):
-        script = []
-        n_keys = len(spans)
-        for t in range(length):
-            creates = t == 1 and length > 2
-            if t in force_var_steps:
-                # newest key: covers gradients through keys created mid-decode
-                chosen = n_static + n_keys - 1
-            else:
-                chosen = int(rng.integers(1, n_static))
-            total = n_static + n_keys
-            others = rng.permutation(total)
-            valid = {chosen}
-            for o in others:
-                if len(valid) >= 6:
-                    break
-                valid.add(int(o))
-            script.append(
-                {"chosen": chosen, "valid": np.array(sorted(valid)), "creates_key": creates}
-            )
-            if creates:
-                n_keys += 1
-        return script
-
-    if objective == "likelihood":
-        scripts = [make_script(n_steps, force_var_steps=(0, 3) if n_steps > 3 else ())]
-        weights = [1.0]
-    elif objective == "policy":
-        scripts = [
-            make_script(n_steps, force_var_steps=(2,) if n_steps > 2 else ()),
-            make_script(max(n_steps - 2, 0)),
-        ]
-        # fixed rewards 1.0 and 0.0 against a fixed baseline of 0.4
-        weights = [1.0 - 0.4, 0.0 - 0.4]
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return {"word_ids": word_ids, "spans": spans, "scripts": scripts, "weights": weights}
-
-
-def grad_check(
-    embed_dim: int = 8,
-    hidden: int = 12,
-    vocab: int = 20,
-    seed: int = 0,
-    objective: str = "likelihood",
-    n_steps: int = 5,
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    The relative error of coordinate pairs (a, b) is |a-b| divided by
-    max(|a|, |b|, 1e-3); the floor keeps near-zero coordinates from
-    exploding the ratio. Returns the max over every parameter coordinate.
-    """
-    rng = np.random.default_rng(seed)
-    params = ModelParams.init(rng, vocab, vocab, embed_dim, hidden)
-    scenario = _make_scenario(rng, vocab, vocab, objective, n_steps)
-
-    params.zero_grad()
-    loss = _scripted_loss(params, scenario)
-    backward(loss)
-
-    worst = 0.0
-    for _, tensor in params.named_tensors():
-        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        flat = tensor.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in range(flat.shape[0]):
-            saved = flat[i]
-            flat[i] = saved + epsilon
-            with no_grad():
-                up = float(_scripted_loss(params, scenario).data)
-            flat[i] = saved - epsilon
-            with no_grad():
-                down = float(_scripted_loss(params, scenario).data)
-            flat[i] = saved
-            fd = (up - down) / (2.0 * epsilon)
-            err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-3)
-            if err > worst:
-                worst = err
-    return worst
+    return params

@@ -10,7 +10,9 @@ memory, keyed by the decoder output of the step that read ")".
 
 Search and sampling run on plain numpy (no tape); training replays a
 chosen program through the tape to get exact gradients of its log
-probability.
+probability. Both follow one set of decoder rules (``_start``,
+``_valid_ids``, ``_feed``), and ``grad_check`` compares the replay's
+gradients with finite differences.
 """
 
 from __future__ import annotations
@@ -173,29 +175,76 @@ def encode(model: Model, item: QAItem) -> Encoding:
 
 
 # ---------------------------------------------------------------------------
+# decoder rules, shared by search (plain numpy) and replay (tape)
+
+
+def _start(model: Model, kb: KnowledgeBase, item: QAItem, max_expressions, last, tape: bool):
+    """Fresh assist state, and the decoder state after GO fed on the encoder's last."""
+    state = DecodingState(kb, item.initial_vars(), max_expressions)
+    go = model.token_index[GO]
+    return state, _decoder_step(model, last, _token_vector(model, (), go, tape), tape)
+
+
+def _valid_ids(model: Model, state: DecodingState) -> np.ndarray:
+    """The ids the assist allows next, sorted: the mask of every decoder step."""
+    return np.array(sorted(model.token_to_id(t) for t in state.valid_tokens()), dtype=np.int64)
+
+
+def _token_vector(model: Model, keys, token_id: int, tape: bool):
+    """What a token feeds the decoder: its token_emb row, or its memory key."""
+    if token_id >= model.n_static:
+        return keys[token_id - model.n_static]
+    table = model.params.token_emb
+    return nn.row(table, token_id) if tape else table.data[token_id]
+
+
+def _decoder_step(model: Model, h, x, tape: bool):
+    # looked up at call time, so wrappers installed on nnkernel see the call
+    if tape:
+        return nn.gru_step(model.params.decoder, h, x)
+    return nn.gru_step_np(model.params.decoder, h, x)
+
+
+def _feed(model: Model, state: DecodingState, dec_h, keys: list, token_id: int, tape: bool):
+    """Consume one token: advance the assist state and the decoder.
+
+    RETURN ends the program, so no GRU step follows it. ")" executes the
+    expression, and the decoder state that read it becomes the memory key
+    of the variable the expression creates (appended to keys in place).
+    """
+    token = model.id_to_token(token_id)
+    state = state.feed(token)
+    if token != RETURN:
+        dec_h = _decoder_step(model, dec_h, _token_vector(model, keys, token_id, tape), tape)
+        if token == CLOSE:
+            keys.append(dec_h)
+    return state, dec_h
+
+
+# ---------------------------------------------------------------------------
 # search-side decoding (plain numpy)
 
 
 class _Lane:
     """One decoding hypothesis in the numpy search path."""
 
-    __slots__ = ("state", "dec_h", "keys", "tokens", "token_ids", "logprob", "done")
+    __slots__ = ("state", "dec_h", "keys", "token_ids", "logprob")
 
     def __init__(self, state, dec_h, keys):
         self.state = state
         self.dec_h = dec_h
         self.keys = keys
-        self.tokens: tuple[str, ...] = ()
         self.token_ids: tuple[int, ...] = ()
         self.logprob = 0.0
-        self.done = False
+
+    @property
+    def done(self) -> bool:
+        return self.state.terminated
 
     def clone(self) -> "_Lane":
         lane = _Lane(self.state, self.dec_h, list(self.keys))
-        lane.tokens = self.tokens
         lane.token_ids = self.token_ids
         lane.logprob = self.logprob
-        lane.done = self.done
         return lane
 
 
@@ -224,9 +273,7 @@ def _encode_np(model: Model, item: QAItem):
 
 def _start_lane(model: Model, kb: KnowledgeBase, item: QAItem, max_expressions, enc_np):
     _, last, keys = enc_np
-    params = model.params
-    state = DecodingState(kb, item.initial_vars(), max_expressions)
-    dec_h = nn.gru_step_np(params.decoder, last, params.token_emb.data[model.token_index[GO]])
+    state, dec_h = _start(model, kb, item, max_expressions, last, tape=False)
     return _Lane(state, dec_h, list(keys))
 
 
@@ -242,35 +289,21 @@ def _lane_scores(model: Model, enc: np.ndarray, lanes: list[_Lane]):
         logits = static[b]
         if lane.keys:
             logits = np.concatenate([logits, np.stack(lane.keys) @ proj[b]])
-        valid_ids = np.array(
-            sorted(model.token_to_id(t) for t in lane.state.valid_tokens()), dtype=np.int64
-        )
+        valid_ids = _valid_ids(model, lane.state)
         out.append((valid_ids, nn.log_probs_over(logits, valid_ids)))
     return out
 
 
 def _advance(model: Model, lane: _Lane, token_id: int, logp: float) -> None:
     """Mutate lane: consume the chosen token."""
-    params = model.params
-    token = model.id_to_token(token_id)
-    lane.state = lane.state.feed(token)
-    lane.tokens = lane.tokens + (token,)
+    lane.state, lane.dec_h = _feed(model, lane.state, lane.dec_h, lane.keys, token_id, tape=False)
     lane.token_ids = lane.token_ids + (token_id,)
     lane.logprob += logp
-    if token == RETURN:
-        lane.done = True
-        return
-    if token_id >= model.n_static:
-        x = lane.keys[token_id - model.n_static]
-    else:
-        x = params.token_emb.data[token_id]
-    lane.dec_h = nn.gru_step_np(params.decoder, lane.dec_h, x)
-    if token == CLOSE:
-        lane.keys.append(lane.dec_h)
 
 
 def _finish(lane: _Lane) -> Candidate:
-    return Candidate(lane.tokens, lane.token_ids, lane.logprob, lane.state.denotation())
+    state = lane.state
+    return Candidate(state.emitted, lane.token_ids, lane.logprob, state.denotation())
 
 
 def beam_search(
@@ -399,10 +432,7 @@ def program_logprob(
     params = model.params
     encoding = encode(model, item)
     keys = list(encoding.keys)
-    state = DecodingState(kb, item.initial_vars(), max_expressions)
-    dec_h = nn.gru_step(
-        params.decoder, encoding.last, nn.row(params.token_emb, model.token_index[GO])
-    )
+    state, dec_h = _start(model, kb, item, max_expressions, encoding.last, tape=True)
     step_lps = []
     for token in tokens:
         if state.terminated:
@@ -411,20 +441,84 @@ def program_logprob(
         logits = nn.matvec(params.w_out, att)
         if keys:
             logits = nn.concat(logits, nn.var_logits(params.w_key, att, keys))
-        valid_ids = np.array(
-            sorted(model.token_to_id(t) for t in state.valid_tokens()), dtype=np.int64
-        )
         tid = model.token_to_id(token)
-        step_lps.append(nn.masked_log_prob(logits, valid_ids, tid))
-        state = state.feed(token)
-        if token == RETURN:
-            continue
-        x = keys[tid - model.n_static] if tid >= model.n_static else nn.row(
-            params.token_emb, tid
-        )
-        dec_h = nn.gru_step(params.decoder, dec_h, x)
-        if token == CLOSE:
-            keys.append(dec_h)
+        step_lps.append(nn.masked_log_prob(logits, _valid_ids(model, state), tid))
+        state, dec_h = _feed(model, state, dec_h, keys, tid, tape=True)
     if not state.terminated:
         raise ValueError("program does not end with RETURN")
     return nn.addn(step_lps)
+
+
+# ---------------------------------------------------------------------------
+# gradient check
+
+# A fixed task for grad_check: R0 = acme, R1 = paris. The first program's
+# second expression reads R2, which the first expression creates, so its
+# gradient runs through a memory key made mid-decode.
+_CHECK_TRIPLES = (
+    ("acme", "founder", "alice"), ("acme", "founder", "bob"), ("acme", "founded", 1990.0),
+    ("alice", "born", "paris"), ("bob", "born", "rome"),
+    ("alice", "age", 40.0), ("bob", "age", 50.0),
+    ("paris", "in", "france"), ("rome", "in", "italy"),
+)
+_CHECK_ITEM = QAItem(
+    "check", ("which", "founder", "of", "acme", "was", "born", "in", "paris"),
+    (((3, 4), "acme"), ((7, 8), "paris")), ("alice",),
+)
+_CHECK_FILTER = tuple("( Hop R0 founder ) ( Equal R2 R1 born ) RETURN".split())
+_CHECK_OLDEST = tuple("( Hop R0 founder ) ( ArgMax R2 age ) RETURN".split())
+# (program, weight) terms of the loss per objective: likelihood is one
+# log-likelihood; policy weighs two programs by the advantages of rewards
+# 1 and 0 against a baseline of 0.4.
+_CHECK_OBJECTIVES = {
+    "likelihood": ((_CHECK_FILTER, 1.0),),
+    "policy": ((_CHECK_FILTER, 1.0 - 0.4), (_CHECK_OLDEST, 0.0 - 0.4)),
+}
+
+
+def grad_check(
+    seed: int = 0, objective: str = "likelihood", embed_dim: int = 8, hidden: int = 12
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    The loss is sum_i w_i * program_logprob(program_i) on a fixed tiny
+    task, with the parameters of a model built at ``seed``: the replay
+    training differentiates, assist masks included. The relative error
+    of coordinate pairs (a, b) is |a-b| divided by max(|a|, |b|, 1e-3);
+    the floor keeps near-zero coordinates from exploding the ratio.
+    Returns the max over every parameter coordinate; epsilon is 1e-5.
+    """
+    if objective not in _CHECK_OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    terms = _CHECK_OBJECTIVES[objective]
+    kb = KnowledgeBase(_CHECK_TRIPLES)
+    model = build_model(kb, [_CHECK_ITEM], embed_dim, hidden, seed)
+
+    def loss() -> nn.Tensor:
+        return nn.addn([
+            nn.scale(program_logprob(model, kb, _CHECK_ITEM, tokens), weight)
+            for tokens, weight in terms
+        ])
+
+    epsilon = 1e-5
+    model.params.zero_grad()
+    nn.backward(loss())
+    worst = 0.0
+    for _, tensor in model.params.named_tensors():
+        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        flat = tensor.data.reshape(-1)
+        aflat = analytic.reshape(-1)
+        for i in range(flat.shape[0]):
+            saved = flat[i]
+            flat[i] = saved + epsilon
+            with nn.no_grad():
+                up = float(loss().data)
+            flat[i] = saved - epsilon
+            with nn.no_grad():
+                down = float(loss().data)
+            flat[i] = saved
+            fd = (up - down) / (2.0 * epsilon)
+            err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-3)
+            if err > worst:
+                worst = err
+    return worst

@@ -18,7 +18,7 @@ import numpy as np
 
 from .assist import DecodingState
 from .interpreter import apply_function
-from .kb import EntitySet, KnowledgeBase, Value, canon, check_value, value_kind
+from .kb import EntitySet, KnowledgeBase, Value, answer_f1, canon, check_value, value_kind
 from .programmer import QAItem
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -190,16 +190,6 @@ def _sample_one_hop(kb: KnowledgeBase, rng, entities) -> Instantiation | None:
     )
 
 
-def _overlap_f1(predicted: EntitySet, gold: EntitySet) -> float:
-    if not predicted or not gold:
-        return 0.0
-    hit = len(set(predicted) & set(gold))
-    if hit == 0:
-        return 0.0
-    p, r = hit / len(predicted), hit / len(gold)
-    return 2.0 * p * r / (p + r)
-
-
 def _sample_two_hop(kb: KnowledgeBase, rng, entities) -> Instantiation | None:
     subj = _pick(rng, entities)
     first = sorted(kb.reachable_properties((subj,)))
@@ -214,7 +204,7 @@ def _sample_two_hop(kb: KnowledgeBase, rng, entities) -> Instantiation | None:
         return None
     p2 = _pick(rng, second)
     answers = kb.forward(mid, p2)
-    if _overlap_f1(mid, answers) == 1.0:
+    if answer_f1(mid, answers)[2] == 1.0:
         return None  # one hop already answers it
     if subj in answers:
         return None  # self-cycle: even trivial programs earn partial credit
@@ -226,16 +216,16 @@ def _sample_two_hop(kb: KnowledgeBase, rng, entities) -> Instantiation | None:
     # the answers at all.
     for q1 in first:
         step = kb.forward((subj,), q1)
-        if q1 != p1 and _overlap_f1(step, answers) > 0.0:
+        if q1 != p1 and answer_f1(step, answers)[2] > 0.0:
             return None
         for q2 in sorted(kb.reachable_properties(step)):
             if (q1, q2) == (p1, p2):
                 continue
-            if _overlap_f1(kb.forward(step, q2), answers) > 0.0:
+            if answer_f1(kb.forward(step, q2), answers)[2] > 0.0:
                 return None
     for prop in kb.comparable_properties(mid):
         for func in ("ArgMax", "ArgMin"):
-            if _overlap_f1(apply_function(kb, func, [mid, prop]), answers) > 0.0:
+            if answer_f1(apply_function(kb, func, [mid, prop]), answers)[2] > 0.0:
                 return None
     # "each p2" rather than "the p2": both properties would otherwise sit
     # in identical "the _ of" frames and the model could not tell which
@@ -305,25 +295,25 @@ def _sample_filter(kb: KnowledgeBase, rng, entities) -> Instantiation | None:
     # starves the true program's beam lanes. What poisons training is a
     # competitor strong enough to take the store slot away from it, which
     # redirects sharpening into a wrong subtree. Reject exactly those.
-    prefix_f1 = _overlap_f1(mid, answers)
+    prefix_f1 = answer_f1(mid, answers)[2]
     for va, vb in (((subj,), (obj,)), ((obj,), (subj,))):
         for q in sorted(kb.reachable_properties(va)):
-            f1 = _overlap_f1(apply_function(kb, "Equal", [va, vb, q]), answers)
+            f1 = answer_f1(apply_function(kb, "Equal", [va, vb, q]), answers)[2]
             if f1 >= 0.5 and f1 > prefix_f1:
                 return None
     for src in ((subj,), (obj,)):
         for q1 in sorted(kb.reachable_properties(src)):
             step = kb.forward(src, q1)
-            one = _overlap_f1(step, answers)
+            one = answer_f1(step, answers)[2]
             if (src, q1) != ((subj,), p1) and one >= 0.5 and one >= prefix_f1:
                 return None  # same length as the prefix, so even a tie displaces
             for q2 in sorted(kb.reachable_properties(step)):
-                f1 = _overlap_f1(kb.forward(step, q2), answers)
+                f1 = answer_f1(kb.forward(step, q2), answers)[2]
                 if f1 >= 0.5 and f1 > prefix_f1:
                     return None
     for prop in kb.comparable_properties(mid):
         for func in ("ArgMax", "ArgMin"):
-            f1 = _overlap_f1(apply_function(kb, func, [mid, prop]), answers)
+            f1 = answer_f1(apply_function(kb, func, [mid, prop]), answers)[2]
             if f1 >= 0.5 and f1 > prefix_f1:
                 return None
     return Instantiation(

@@ -22,22 +22,8 @@ import numpy as np
 
 from . import nnkernel as nn
 from .interpreter import MAX_EXPRESSIONS
-from .kb import EntitySet, KnowledgeBase
+from .kb import KnowledgeBase, answer_f1
 from .programmer import Model, QAItem, beam_search, greedy_decode, program_logprob, sample_programs
-
-
-def reward_f1(predicted: EntitySet, gold: EntitySet) -> float:
-    """Per-question F1 between predicted and gold answer sets."""
-    if not gold:
-        raise ValueError("empty gold answer set (malformed dataset)")
-    if not predicted:
-        return 0.0
-    overlap = len(set(predicted) & set(gold))
-    precision = overlap / len(predicted)
-    recall = overlap / len(gold)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 @dataclass(frozen=True)
@@ -133,25 +119,6 @@ class Metrics:
     avg_f1: float
     accuracy_at_1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "avg_precision": self.avg_precision,
-            "avg_recall": self.avg_recall,
-            "avg_f1": self.avg_f1,
-            "accuracy_at_1": self.accuracy_at_1,
-        }
-
-
-def question_metrics(predicted: EntitySet, gold: EntitySet) -> tuple[float, float, float, bool]:
-    """Precision, recall, F1, and exact-set match for one question."""
-    if not predicted:
-        return 0.0, 0.0, 0.0, predicted == gold
-    overlap = len(set(predicted) & set(gold))
-    precision = overlap / len(predicted)
-    recall = overlap / len(gold) if gold else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1, predicted == gold
-
 
 def evaluate(
     model: Model,
@@ -165,11 +132,11 @@ def evaluate(
     precisions, recalls, f1s, exact = [], [], [], 0
     for item in items:
         prediction = greedy_decode(model, kb, item, max_expressions).denotation
-        p, r, f1, hit = question_metrics(prediction, item.answers)
+        p, r, f1 = answer_f1(prediction, item.answers)
         precisions.append(p)
         recalls.append(r)
         f1s.append(f1)
-        exact += hit
+        exact += prediction == item.answers
     n = len(items)
     return Metrics(sum(precisions) / n, sum(recalls) / n, sum(f1s) / n, exact / n)
 
@@ -184,7 +151,7 @@ def _search_and_merge(model, kb, items, store, config) -> float:
     for item in items:
         best = 0.0
         for cand in beam_search(model, kb, item, config.beam_size, config.max_expressions):
-            r = reward_f1(cand.denotation, item.answers)
+            _, _, r = answer_f1(cand.denotation, item.answers)
             best = max(best, r)
             if r > 0.0:
                 store.merge(item.qid, RewardedProgram(cand.tokens, r, cand.logprob))
@@ -245,7 +212,7 @@ def _reinforce_question(model, kb, item, store, config, rng, baselines) -> float
     samples = sample_programs(
         model, kb, item, config.n_samples, rng, config.max_expressions
     )
-    sampled_rewards = [reward_f1(c.denotation, item.answers) for c in samples]
+    sampled_rewards = [answer_f1(c.denotation, item.answers)[2] for c in samples]
     rp = store.get(item.qid)
     slots: list[tuple[tuple[str, ...], float]] = []
     for cand, r in zip(samples, sampled_rewards):
@@ -314,16 +281,24 @@ def train(
     train_items: list[QAItem],
     dev_items: list[QAItem],
     config: TrainConfig,
+    log: Callable[[dict], None] | None = None,
 ) -> tuple[PseudoGoldStore, list[dict]]:
     """Full run: iterative ML, then augmented REINFORCE. Returns the
-    pseudo-gold store and the per-iteration log records."""
-    log_lines: list[dict] = []
-    store = iterative_ml(model, kb, train_items, config, dev_items, log_lines.append)
+    pseudo-gold store and the per-iteration log records; ``log``, when
+    given, is called with each record as soon as it is made."""
+    records: list[dict] = []
+
+    def keep(record: dict) -> None:
+        records.append(record)
+        if log is not None:
+            log(record)
+
+    store = iterative_ml(model, kb, train_items, config, dev_items, keep)
     augmented_reinforce(
         model, kb, train_items, store, config,
         rng=np.random.default_rng(config.seed),
         dev_items=dev_items,
-        log=log_lines.append,
+        log=keep,
         iteration_offset=config.ml_iterations,
     )
-    return store, log_lines
+    return store, records

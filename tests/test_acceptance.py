@@ -23,7 +23,7 @@ from lisplab.interpreter import (
     execute_program,
     parse_program,
 )
-from lisplab.kb import KnowledgeBase
+from lisplab.kb import KnowledgeBase, answer_f1
 from lisplab.programmer import QAItem, build_model, greedy_decode, program_logprob
 
 from oracles import (
@@ -131,23 +131,37 @@ def test_criterion_04_gradient_check():
     worst = 0.0
     for objective in ("likelihood", "policy"):
         for seed in (0, 1, 2):
-            worst = max(worst, nn.grad_check(seed=seed, objective=objective))
+            worst = max(worst, programmer.grad_check(seed, objective))
     verdict(4, "gradient check", worst <= 1e-4, f"max relative error {worst:.2e}")
 
 
 def test_criterion_05_masked_softmax():
+    # the decoder's masked softmax: log_probs_over for search and
+    # masked_log_prob for the replay, whose tape gradient must be exactly
+    # zero at every invalid id
     rng = np.random.default_rng(5)
     bad = 0
-    for _ in range(100_000):
+    worst = 0.0
+    for draw in range(100_000):
         n = int(rng.integers(2, 24))
         logits = rng.normal(scale=float(rng.uniform(0.5, 40.0)), size=n)
         mask = rng.random(n) < 0.5
         if not mask.any():
             mask[int(rng.integers(n))] = True
-        out = nn.masked_softmax_np(logits, mask)
-        if np.any(out[~mask] != 0.0) or abs(out[mask].sum() - 1.0) > 1e-12:
+        valid_ids = np.nonzero(mask)[0]
+        logp = nn.log_probs_over(logits, valid_ids)
+        err = abs(np.exp(logp).sum() - 1.0)
+        worst = max(worst, err)
+        pos = draw % len(valid_ids)  # no extra draws: the pairs stay those of rng 5
+        leaf = nn.leaf(logits)
+        lp = nn.masked_log_prob(leaf, valid_ids, int(valid_ids[pos]))
+        nn.backward(lp)
+        if err > 1e-12 or float(lp.data) != logp[pos] or np.any(leaf.grad[~mask] != 0.0):
             bad += 1
-    verdict(5, "masked softmax", bad == 0, f"100000 logit/mask pairs, {bad} bad")
+    verdict(
+        5, "masked softmax", bad == 0,
+        f"100000 logit/mask pairs, {bad} bad, worst sum error {worst:.1e}",
+    )
 
 
 def test_criterion_06_reinforce_estimator():
@@ -169,7 +183,7 @@ def test_criterion_06_reinforce_estimator():
         nn.backward(logprob)
         grad = flat_grad(model.params)
         prob = float(np.exp(logprob.data))
-        reward = trainer.reward_f1(
+        _, _, reward = answer_f1(
             denotation_or_empty(kb, list(tokens), [("e0",)], 1), ("a",)
         )
         per_program[tokens] = reward * grad

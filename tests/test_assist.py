@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lisplab.assist import AssistError, DecodingState, random_rollout, valid_tokens
+from lisplab.assist import AssistError, DecodingState, random_rollout
 from lisplab.interpreter import execute_program
 from lisplab.kb import KnowledgeBase
 
@@ -113,10 +113,6 @@ class TestValidTokens:
         assert base.emitted == ()
         assert a.emitted == ("(",)
         assert b.terminated and not a.terminated
-
-    def test_module_level_helper(self):
-        state = DecodingState(kb_of(*SMALL_KB), [("abe",)])
-        assert valid_tokens(state) == state.valid_tokens()
 
     def test_denotation_tracks_last_expression(self):
         state = DecodingState(kb_of(*SMALL_KB), [("abe",)])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lisplab import nnkernel as nn
+from lisplab import programmer as pg
 
 from oracles import scalar_attention, scalar_gru, scalar_softmax
 
@@ -123,51 +124,71 @@ logits_and_masks = st.integers(2, 30).flatmap(
 
 
 class TestMaskedSoftmax:
+    """The masked log-softmax of the decoder: log_probs_over (search) and
+    masked_log_prob (replay) over the valid ids only."""
+
     def test_symmetry_fixture(self):
-        out = nn.masked_softmax_np(np.zeros(3), [True, True, False])
-        assert out.tolist() == [0.5, 0.5, 0.0]
+        out = nn.log_probs_over(np.zeros(3), np.array([0, 1]))
+        assert out.tolist() == [-np.log(2.0), -np.log(2.0)]
 
     def test_single_valid_token(self):
-        out = nn.masked_softmax_np(np.array([5.0, -2.0, 0.1]), [False, True, False])
-        assert out.tolist() == [0.0, 1.0, 0.0]
+        logits = np.array([5.0, -2.0, 0.1])
+        assert nn.log_probs_over(logits, np.array([1])).tolist() == [0.0]
+        leaf = nn.leaf(logits)
+        lp = nn.masked_log_prob(leaf, np.array([1]), 1)
+        assert float(lp.data) == 0.0
+        nn.backward(lp)
+        assert leaf.grad.tolist() == [0.0, 0.0, 0.0]
 
     def test_closed_form_all_valid(self):
         logits = np.array([1.0, 2.0, 3.0])
-        out = nn.masked_softmax_np(logits, [True] * 3)
+        out = np.exp(nn.log_probs_over(logits, np.arange(3)))
         e = np.exp(logits - 3.0)
         assert np.allclose(out, e / e.sum(), atol=1e-15, rtol=0)
 
     def test_all_masked_errors(self):
         with pytest.raises(ValueError):
-            nn.masked_softmax_np(np.zeros(3), [False] * 3)
+            nn.log_probs_over(np.zeros(3), np.array([], dtype=np.int64))
+        with pytest.raises(ValueError):
+            nn.masked_log_prob(nn.leaf(np.zeros(3)), np.array([], dtype=np.int64), 0)
 
     def test_tape_matches_scalar_reference(self):
         rng = rng_of(0)
         logits = rng.normal(size=6)
         mask = [True, False, True, True, False, True]
         expected = scalar_softmax(logits.tolist(), mask)
-        got = nn.masked_softmax(nn.leaf(logits), mask).data
-        assert np.allclose(got, expected, atol=1e-12, rtol=0)
+        for chosen in np.nonzero(mask)[0]:
+            got = nn.masked_log_prob(nn.leaf(logits), np.nonzero(mask)[0], int(chosen)).data
+            assert abs(float(got) - np.log(expected[chosen])) <= 1e-12
 
     @given(logits_and_masks)
     @settings(max_examples=200)
     def test_properties(self, pair):
         logits, mask = pair
-        out = nn.masked_softmax_np(logits, mask)
-        marr = np.array(mask)
-        assert (out[~marr] == 0.0).all()
-        assert abs(out[marr].sum() - 1.0) <= 1e-12
-        shifted = nn.masked_softmax_np(logits + 7.25, mask)
-        assert np.abs(shifted - out).max() <= 1e-12
+        valid_ids = np.nonzero(mask)[0]
+        probs = np.exp(nn.log_probs_over(logits, valid_ids))
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        shifted = np.exp(nn.log_probs_over(logits + 7.25, valid_ids))
+        assert np.abs(shifted - probs).max() <= 1e-12
 
     @given(logits_and_masks)
     @settings(max_examples=100)
     def test_log_probs_consistent(self, pair):
+        # replay's value is search's entry; its gradient is onehot - p on
+        # the valid ids and exactly 0 on the others
         logits, mask = pair
         valid_ids = np.nonzero(mask)[0]
-        probs = nn.masked_softmax_np(logits, mask)
         logp = nn.log_probs_over(logits, valid_ids)
-        assert np.allclose(np.exp(logp), probs[valid_ids], atol=1e-12, rtol=0)
+        for pos, chosen in enumerate(valid_ids):
+            leaf = nn.leaf(logits)
+            lp = nn.masked_log_prob(leaf, valid_ids, int(chosen))
+            assert float(lp.data) == logp[pos]
+            nn.backward(lp)
+            want = np.zeros_like(logits)
+            want[valid_ids] = -np.exp(logp)
+            want[chosen] += 1.0
+            assert np.allclose(leaf.grad, want, atol=1e-12, rtol=0)
+            assert (leaf.grad[~np.array(mask)] == 0.0).all()
 
 
 def fd_check(loss_fn, tensors, epsilon=1e-6, tol=1e-6):
@@ -198,7 +219,7 @@ class TestBackward:
         rng = rng_of(0)
         w = nn.leaf(rng.normal(size=(3, 3)))
         v = nn.leaf(rng.normal(size=3))
-        loss = nn.scale(nn.vsum(nn.matvec(w, v)), 0.0)
+        loss = nn.scale(nn.masked_log_prob(nn.matvec(w, v), np.arange(3), 1), 0.0)
         nn.backward(loss)
         assert np.array_equal(w.grad, np.zeros((3, 3)))
         assert np.array_equal(v.grad, np.zeros(3))
@@ -207,11 +228,15 @@ class TestBackward:
         rng = rng_of(1)
         w = nn.leaf(rng.normal(size=(2, 3)))
         v = nn.leaf(rng.normal(size=3))
-        loss = nn.vsum(nn.add(nn.matvec(w, v), nn.matvec(w, v)))
+        valid = np.array([0, 1])
+        loss = nn.masked_log_prob(nn.addn([nn.matvec(w, v), nn.matvec(w, v)]), valid, 0)
         nn.backward(loss)
-        # d/dW sum(2 W v) = 2 * outer(1, v)
-        assert np.allclose(w.grad, 2 * np.outer(np.ones(2), v.data), atol=1e-15)
-        assert np.allclose(v.grad, 2 * w.data.T @ np.ones(2), atol=1e-15)
+        # logits 2 W v, so dW = 2 outer(g, v) and dv = 2 W^T g with
+        # g = onehot(0) - softmax(2 W v)
+        g = -np.exp(nn.log_probs_over(2 * w.data @ v.data, valid))
+        g[0] += 1.0
+        assert np.allclose(w.grad, 2 * np.outer(g, v.data), atol=1e-15)
+        assert np.allclose(v.grad, 2 * w.data.T @ g, atol=1e-15)
 
     def test_reused_tensor_through_gru_chain(self):
         rng = rng_of(2)
@@ -223,7 +248,7 @@ class TestBackward:
             h = nn.leaf(np.zeros(3))
             h = nn.gru_step(gp, h, x)
             h = nn.gru_step(gp, h, x)
-            return nn.vsum(h)
+            return nn.masked_log_prob(h, np.arange(3), 0)
 
         fd_check(loss_fn, tensors)
 
@@ -233,7 +258,7 @@ class TestBackward:
         u = nn.leaf(rng.normal(size=4))
         enc = nn.leaf(rng.normal(size=(3, 4)))
         tensors = [ap.w_score, ap.w_combine, u, enc]
-        fd_check(lambda: nn.vsum(nn.attention(ap, u, enc)), tensors)
+        fd_check(lambda: nn.masked_log_prob(nn.attention(ap, u, enc), np.arange(4), 2), tensors)
 
     def test_var_logits_gradients(self):
         rng = rng_of(4)
@@ -263,7 +288,7 @@ class TestBackward:
 
         def loss_fn():
             mat = nn.stack(vecs)
-            return nn.vsum(nn.span_mean(mat, 1, 3))
+            return nn.masked_log_prob(nn.span_mean(mat, 1, 3), np.arange(3), 1)
 
         fd_check(loss_fn, vecs)
 
@@ -277,25 +302,38 @@ class TestBackward:
         with nn.no_grad():
             out = nn.matvec(w, v)
         assert out._bw is None and out._prev == ()
-        nn.backward(nn.vsum(nn.matvec(w, v)))
+        nn.backward(nn.masked_log_prob(nn.matvec(w, v), np.arange(2), 0))
         assert w.grad is not None
 
 
 class TestGradCheck:
+    """programmer.grad_check: finite differences on the programmer's own
+    replay, which runs every backward pass above as training wires them."""
+
     def test_likelihood_small(self):
-        err = nn.grad_check(embed_dim=4, hidden=5, vocab=8, seed=0, n_steps=4)
+        err = pg.grad_check(seed=0, embed_dim=4, hidden=5)
         assert err <= 1e-4, err
 
     def test_policy_small(self):
-        err = nn.grad_check(embed_dim=4, hidden=5, vocab=8, seed=1, objective="policy", n_steps=4)
+        err = pg.grad_check(seed=1, objective="policy", embed_dim=4, hidden=5)
         assert err <= 1e-4, err
-
-    def test_zero_length_decode(self):
-        assert nn.grad_check(embed_dim=4, hidden=5, vocab=8, seed=0, n_steps=0) == 0.0
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
-            nn.grad_check(objective="nonsense")
+            pg.grad_check(objective="nonsense")
+
+    def test_detached_memory_keys_are_caught(self, monkeypatch):
+        # the replay looks var_logits up at call time, so cutting the
+        # gradient into the memory keys there must show in the check
+        original = nn.var_logits
+
+        def detached(w_key, a, keys):
+            return original(w_key, a, [nn.leaf(k.data) for k in keys])
+
+        monkeypatch.setattr(nn, "var_logits", detached)
+        for objective in ("likelihood", "policy"):
+            err = pg.grad_check(seed=0, objective=objective, embed_dim=4, hidden=5)
+            assert err > 1e-4, (objective, err)
 
 
 class TestCheckpoint:
@@ -310,8 +348,7 @@ class TestCheckpoint:
         for name, tensor in params.named_tensors():
             assert arrays[name].tobytes() == tensor.data.tobytes()
         # loading into a fresh model then saving again is byte-identical
-        fresh = nn.ModelParams.init(rng_of(9), 5, 6, 3, 4)
-        nn.load_params_into(fresh, arrays)
+        fresh = nn.params_from_arrays(arrays)
         path2 = tmp_path / "model2.ckpt"
         nn.save_checkpoint(path2, nn.params_to_arrays(fresh), meta)
         assert path2.read_bytes() == path.read_bytes()
@@ -331,16 +368,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             nn.load_checkpoint(path)
 
-    def test_load_params_into_checks_names_and_shapes(self, tmp_path):
+    def test_params_from_arrays_checks_names_and_shapes(self):
         params = nn.ModelParams.init(rng_of(0), 2, 2, 2, 2)
+        for name in ("w_key", "word_emb", "token_emb"):
+            arrays = dict(nn.params_to_arrays(params))
+            del arrays[name]
+            with pytest.raises(ValueError):
+                nn.params_from_arrays(arrays)
         arrays = dict(nn.params_to_arrays(params))
-        del arrays["w_key"]
+        arrays["extra"] = np.zeros(2)
         with pytest.raises(ValueError):
-            nn.load_params_into(params, arrays)
+            nn.params_from_arrays(arrays)
         arrays = dict(nn.params_to_arrays(params))
         arrays["w_key"] = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            nn.load_params_into(params, arrays)
+            nn.params_from_arrays(arrays)
+        arrays = dict(nn.params_to_arrays(params))
+        arrays["word_emb"] = np.zeros(4)
+        with pytest.raises(ValueError):
+            nn.params_from_arrays(arrays)
 
 
 class TestModelParams:

@@ -6,7 +6,7 @@ from lisplab import programmer as pg
 from lisplab.assist import DecodingState
 from lisplab.kb import KnowledgeBase
 
-from oracles import enumerate_programs
+from oracles import enumerate_programs, scalar_softmax
 
 KB_TRIPLES = [
     ("abe", "BornIn", "hodgenville"),
@@ -176,7 +176,7 @@ class TestDistribution:
         valid = np.array(sorted(model.token_to_id(t) for t in state.valid_tokens()))
         mask = np.zeros(len(logits), dtype=bool)
         mask[valid] = True
-        probs = nn.masked_softmax_np(logits, mask)
+        probs = scalar_softmax(logits.tolist(), mask.tolist())
         dist = pg.next_token_distribution(model, kb, item)
         for tok, p in dist.items():
             assert abs(p - probs[model.token_to_id(tok)]) < 1e-9

@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from lisplab import nnkernel as nn
 from lisplab import trainer as tr
-from lisplab.kb import KnowledgeBase
+from lisplab.kb import KnowledgeBase, answer_f1
 from lisplab.programmer import (
     QAItem,
     beam_search,
@@ -16,25 +17,32 @@ from lisplab.programmer import (
 
 
 class TestRewardF1:
+    """The reward of a program: the F1 of kb.answer_f1 on its denotation."""
+
     def test_exact_match(self):
-        assert tr.reward_f1(("A",), ("A",)) == 1.0
+        assert answer_f1(("A",), ("A",)) == (1.0, 1.0, 1.0)
 
     def test_empty_prediction(self):
-        assert tr.reward_f1((), ("A",)) == 0.0
+        assert answer_f1((), ("A",)) == (0.0, 0.0, 0.0)
 
     def test_half_overlap(self):
-        assert tr.reward_f1(("A", "B"), ("A", "C")) == 0.5
+        assert answer_f1(("A", "B"), ("A", "C")) == (0.5, 0.5, 0.5)
 
     def test_precision_recall_asymmetry(self):
         # pred {A}, gold {A,B}: P=1, R=0.5, F1=2/3
-        assert tr.reward_f1(("A",), ("A", "B")) == pytest.approx(2 / 3)
+        p, r, f1 = answer_f1(("A",), ("A", "B"))
+        assert (p, r) == (1.0, 0.5)
+        assert f1 == pytest.approx(2 / 3)
 
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):
-            tr.reward_f1(("A",), ())
+            answer_f1(("A",), ())
+        with pytest.raises(ValueError):
+            answer_f1((), ())
 
     def test_range(self):
-        assert 0.0 <= tr.reward_f1(("A", "B", "C"), ("B", "Z")) <= 1.0
+        assert all(0.0 <= v <= 1.0 for v in answer_f1(("A", "B", "C"), ("B", "Z")))
+        assert answer_f1(("A",), ("B",)) == (0.0, 0.0, 0.0)
 
 
 class TestPseudoGoldStore:
@@ -170,11 +178,21 @@ def force_predictions(model, kb, items, targets, steps=250, lr=0.5):
 
 class TestEvaluate:
     def test_question_metrics_fixtures(self):
-        assert tr.question_metrics(("A",), ("A",)) == (1.0, 1.0, 1.0, True)
-        assert tr.question_metrics((), ("A",)) == (0.0, 0.0, 0.0, False)
-        p, r, f1, hit = tr.question_metrics(("A", "B"), ("A",))
-        assert (p, r, hit) == (0.5, 1.0, False)
+        # the per-question scores evaluate averages, and its exact match
+        assert answer_f1(("A",), ("A",)) == (1.0, 1.0, 1.0)
+        assert answer_f1((), ("A",)) == (0.0, 0.0, 0.0)
+        p, r, f1 = answer_f1(("A", "B"), ("A",))
+        assert (p, r) == (0.5, 1.0)
         assert f1 == pytest.approx(2 / 3)
+        # bitwise the formula the metric fixtures are written in
+        assert f1 == 2.0 * 0.5 * 1.0 / (0.5 + 1.0)
+
+    def test_empty_gold_rejected(self):
+        kb = KnowledgeBase(ONE_TRIPLE)
+        item = one_hop_item(answers=())
+        model = build_model(kb, [item], 4, 6)
+        with pytest.raises(ValueError):
+            tr.evaluate(model, kb, [item])
 
     def test_empty_dataset(self):
         kb = KnowledgeBase(ONE_TRIPLE)
@@ -207,7 +225,7 @@ class TestEvaluate:
         assert metrics.avg_recall == sum(r[4] for r in rows) / n
         assert metrics.avg_f1 == sum(r[5] for r in rows) / n
         assert metrics.accuracy_at_1 == sum(r[6] for r in rows) / n
-        assert metrics.as_dict()["avg_f1"] == metrics.avg_f1
+        assert dataclasses.asdict(metrics)["avg_f1"] == metrics.avg_f1
 
 
 class TestIterativeMl:
@@ -366,3 +384,25 @@ class TestTrain:
                                  "store_coverage", "store_rewards"}
             assert line["dev_f1"] is not None
         assert store.coverage(["q0", "q1"]) == 1.0
+
+    def test_log_callback_sees_each_record_as_made(self):
+        kb = KnowledgeBase(ONE_TRIPLE)
+        items = [one_hop_item("q0")]
+        config = tr.TrainConfig(beam_size=4, n_samples=2, ml_iterations=2,
+                                epochs_per_iteration=1, reinforce_epochs=1,
+                                learning_rate=0.1, seed=2)
+        model = build_model(kb, items, 4, 6, seed=2)
+
+        def weights():
+            return b"".join(t.data.tobytes() for _, t in model.params.named_tensors())
+
+        seen = []
+        store, records = tr.train(model, kb, items, [], config,
+                                  log=lambda record: seen.append((record, weights())))
+        assert [record for record, _ in seen] == records
+        assert all(a is b for (a, _), b in zip(seen, records))
+        assert [r["iteration"] for r in records] == [1, 2, 3]
+        # each call came while training ran: the weights moved between calls
+        snapshots = [w for _, w in seen]
+        assert len(set(snapshots)) == 3
+        assert snapshots[-1] == weights()
