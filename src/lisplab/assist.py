@@ -2,9 +2,13 @@
 
 Given a partial program, ``valid_tokens`` returns exactly the next tokens
 that keep a path open to a complete program that runs without error and
-whose every expression denotes a non-empty set. Validity is decided with
-one-token lookahead plus slot-satisfiability checks; the grammar is
-shallow enough that this equals full lookahead.
+whose every expression denotes a non-empty set. One rule decides every
+function and variable token: it is valid exactly when live variables can
+fill the rest of the expression's var slots so that the property slot,
+whose admissible properties ``interpreter.slot_properties`` gives, is
+non-empty. At an expression boundary RETURN is always valid, and ``(``
+is valid while the expression budget lasts and some function can be
+completed. The grammar is shallow enough that this equals full lookahead.
 
 Empty intermediate denotations count as semantic errors and are pruned.
 That pruning is what makes the search space small: a property slot only
@@ -26,24 +30,13 @@ from .interpreter import (
     Program,
     apply_function,
     parse_program,
+    slot_properties,
 )
 from .kb import EntitySet, KnowledgeBase, canon
 
 
 class AssistError(Exception):
     """Raised when a token outside the valid set is fed."""
-
-
-def _slot_properties(kb: KnowledgeBase, func: str, chosen: list[EntitySet]) -> frozenset[str]:
-    """Properties admissible in ``func``'s property slot given the chosen
-    variable values (in signature order)."""
-    if func == "Hop":
-        return kb.reachable_properties(chosen[0])
-    if func in ("ArgMax", "ArgMin"):
-        return kb.comparable_properties(chosen[0])
-    if func == "Equal":
-        return kb.connecting_properties(chosen[0], chosen[1])
-    raise AssistError(f"unknown function {func!r}")
 
 
 class DecodingState:
@@ -91,14 +84,6 @@ class DecodingState:
         new._valid = None
         return new
 
-    # -- variable helpers -------------------------------------------------
-
-    def _live_vars(self) -> list[tuple[str, EntitySet]]:
-        """Variables whose values are non-empty, with their names."""
-        return [
-            (f"R{i}", v) for i, v in enumerate(self.var_values) if v
-        ]
-
     def denotation(self) -> EntitySet:
         """Value of the last variable an expression created; () before any."""
         if self.n_expressions == 0:
@@ -114,65 +99,44 @@ class DecodingState:
 
     # -- the oracle -------------------------------------------------------
 
-    def _function_satisfiable(self, func: str) -> bool:
-        live = self._live_vars()
-        if func == "Hop":
-            return any(self.kb.reachable_properties(v) for _, v in live)
-        if func in ("ArgMax", "ArgMin"):
-            return any(self.kb.comparable_properties(v) for _, v in live)
-        if func == "Equal":
-            return any(
-                self.kb.connecting_properties(v1, v2)
-                for _, v1 in live
-                for _, v2 in live
-            )
-        raise AssistError(f"unknown function {func!r}")
+    def _fillable(self, func: str, chosen: list[EntitySet], live: list[EntitySet]) -> bool:
+        """True when ``live`` (non-empty) variable values can fill ``func``'s
+        var slots after ``chosen`` so that its property slot is non-empty."""
+        if SIGNATURES[func][len(chosen)] == "prop":
+            return bool(slot_properties(self.kb, func, chosen))
+        for v in live:
+            if self._fillable(func, chosen + [v], live):
+                return True
+        return False
 
     def _compute_valid(self) -> frozenset[str]:
         if self.terminated:
             return frozenset()
         buf = self.buffer
         if not buf:
-            # expression boundary
-            if self.n_expressions >= self.max_expressions:
-                return frozenset({RETURN})
-            valid: set[str] = set()
-            if any(self._function_satisfiable(f) for f in FUNCS):
-                valid.add(OPEN)
-            if self.var_values:
-                valid.add(RETURN)
-            if not valid:
-                # dead start (no variables, nothing satisfiable): the only
-                # way out is the empty program
-                return frozenset({RETURN})
-            return frozenset(valid)
+            # expression boundary: RETURN always, OPEN while the budget
+            # lasts and some function can be completed
+            if self.n_expressions < self.max_expressions:
+                live = [v for v in self.var_values if v]
+                if any(self._fillable(f, [], live) for f in FUNCS):
+                    return frozenset({OPEN, RETURN})
+            return frozenset({RETURN})
         if len(buf) == 1:
-            return frozenset(f for f in FUNCS if self._function_satisfiable(f))
+            live = [v for v in self.var_values if v]
+            return frozenset(f for f in FUNCS if self._fillable(f, [], live))
         func = buf[1]
         slots = SIGNATURES[func]
         n_filled = len(buf) - 2
         if n_filled == len(slots):
             return frozenset({CLOSE})
-        kind = slots[n_filled]
-        live = self._live_vars()
-        if kind == "prop":
-            chosen = [self.var_values[int(t[1:])] for t in buf[2 : 2 + n_filled]]
-            return frozenset(_slot_properties(self.kb, func, chosen))
-        # var slot
-        if func == "Hop":
-            return frozenset(n for n, v in live if self.kb.reachable_properties(v))
-        if func in ("ArgMax", "ArgMin"):
-            return frozenset(n for n, v in live if self.kb.comparable_properties(v))
-        # Equal: first slot needs a partner (itself allowed), second must
-        # connect to the already-chosen first
-        if n_filled == 0:
-            return frozenset(
-                n1
-                for n1, v1 in live
-                if any(self.kb.connecting_properties(v1, v2) for _, v2 in live)
-            )
-        v1 = self.var_values[int(buf[2][1:])]
-        return frozenset(n for n, v in live if self.kb.connecting_properties(v1, v))
+        chosen = [self.var_values[int(t[1:])] for t in buf[2:]]
+        if slots[n_filled] == "prop":
+            return slot_properties(self.kb, func, chosen)
+        live = [v for v in self.var_values if v]
+        return frozenset(
+            f"R{i}" for i, v in enumerate(self.var_values)
+            if v and self._fillable(func, chosen + [v], live)
+        )
 
     def valid_tokens(self) -> frozenset[str]:
         if self._valid is None:

@@ -87,6 +87,16 @@ def _initial_vars(pairs) -> list:
     return [(slots[i],) for i in range(len(slots))]
 
 
+def _load_model(path, kb) -> programmer.Model:
+    """Load a checkpoint, refusing one trained on another property set:
+    its token ids would not line up with the KB's properties."""
+    model = programmer.load_model(path)
+    if programmer.static_token_list(kb) != model.static_tokens:
+        raise ValueError(f"{path}: checkpoint was trained on a different property set "
+                         "than the knowledge base")
+    return model
+
+
 def _print_denotation(denotation) -> None:
     for value in kbmod.canon(denotation):
         print(kbmod.format_value(value))
@@ -137,7 +147,7 @@ def _cmd_assist(args) -> int:
 
 def _cmd_parse(args) -> int:
     kb = kbmod.load_kb(args.kb)
-    model = programmer.load_model(args.checkpoint)
+    model = _load_model(args.checkpoint, kb)
     tokens = tuple(args.question.split())
     entities = tuple(kbmod.resolve_entities(kb, list(tokens)))
     if not entities:
@@ -174,7 +184,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     kb = kbmod.load_kb(args.kb)
-    model = programmer.load_model(args.checkpoint)
+    model = _load_model(args.checkpoint, kb)
     items = taskgen.load_dataset(args.test)
     metrics = trainer.evaluate(model, kb, items)
     print(json.dumps(dataclasses.asdict(metrics), sort_keys=True))

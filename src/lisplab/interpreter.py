@@ -192,6 +192,18 @@ def apply_function(kb: KnowledgeBase, func: str, arg_values: list) -> EntitySet:
     raise ExecError(f"unknown function {func!r}")
 
 
+def slot_properties(kb: KnowledgeBase, func: str, var_values: list[EntitySet]) -> frozenset[str]:
+    """Properties for ``func``'s property slot with which it runs and
+    denotes a non-empty set, given its var-slot values in signature order."""
+    if func == "Hop":
+        return kb.reachable_properties(var_values[0])
+    if func in ("ArgMax", "ArgMin"):
+        return kb.comparable_properties(var_values[0])
+    if func == "Equal":
+        return kb.connecting_properties(var_values[0], var_values[1])
+    raise ExecError(f"unknown function {func!r}")
+
+
 def execute_program(
     kb: KnowledgeBase, program: Program, initial_vars: list[EntitySet]
 ) -> EntitySet:

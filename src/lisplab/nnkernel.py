@@ -507,16 +507,28 @@ def save_checkpoint(path, named_arrays: list[tuple[str, np.ndarray]], meta: dict
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
+    nl = blob.find(b"\n")
+    if nl < 0:
+        raise ValueError("checkpoint has no header line")
     header = json.loads(blob[:nl].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT or header.get("version") != 1:
         raise ValueError("not a recognized checkpoint file")
+    if not isinstance(header.get("meta"), dict) or not isinstance(header.get("tensors"), list):
+        raise ValueError("checkpoint header needs a meta object and a tensors list")
     arrays: dict[str, np.ndarray] = {}
     offset = nl + 1
     for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise ValueError(f"checkpoint tensor entry needs a name and a shape, got {entry!r}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
+        if end > len(blob):
+            raise ValueError("checkpoint data is truncated")
         arrays[entry["name"]] = (
             np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
         )

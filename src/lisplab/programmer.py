@@ -50,14 +50,17 @@ class QAItem:
             self, "entities", tuple(((s, e), eid) for (s, e), eid in self.entities)
         )
         object.__setattr__(self, "answers", canon(self.answers))
+        for token in self.tokens:
+            if token.split() != [token]:
+                raise ValueError(f"question token {token!r} is empty or contains whitespace")
         last = 0
         for (start, end), eid in self.entities:
             if not (0 <= start < end <= len(self.tokens)):
                 raise ValueError(f"entity span ({start}, {end}) out of bounds")
             if start < last:
                 raise ValueError("entity spans overlap or are unsorted")
-            if not eid:
-                raise ValueError("empty entity id")
+            if not isinstance(eid, str) or not eid:
+                raise ValueError(f"entity id must be a non-empty string, got {eid!r}")
             last = end
 
     def abstracted(self) -> list[str]:
@@ -140,8 +143,12 @@ def save_model(path, model: Model) -> None:
 def load_model(path) -> Model:
     meta, arrays = nn.load_checkpoint(path)
     params = nn.params_from_arrays(arrays)
-    model = Model(list(meta["word_vocab"]), list(meta["static_tokens"]), params)
-    if params.embed_dim != meta["embed_dim"] or params.hidden_dim != meta["hidden_dim"]:
+    try:
+        model = Model(list(meta["word_vocab"]), list(meta["static_tokens"]), params)
+        dims = (meta["embed_dim"], meta["hidden_dim"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint meta is missing or malformed: {exc}") from None
+    if dims != (params.embed_dim, params.hidden_dim):
         raise ValueError("checkpoint dims inconsistent with stored tensors")
     return model
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,10 +17,9 @@ import numpy as np
 
 from .assist import DecodingState
 from .interpreter import apply_function
-from .kb import EntitySet, KnowledgeBase, Value, answer_f1, canon, check_value, value_kind
+from .kb import (EntitySet, KBError, KnowledgeBase, Value, answer_f1, canon, format_value,
+                 parse_value, value_kind)
 from .programmer import QAItem
-
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
 class GenerationError(Exception):
@@ -419,17 +417,11 @@ def gen_dataset(
 # dataset files
 
 
-def _value_to_json(value: Value):
-    kind = value_kind(value)
-    if kind == "date":
-        return value.isoformat()
-    return value
-
-
-def _value_from_json(raw) -> Value:
-    if isinstance(raw, str) and _DATE_RE.match(raw):
-        return datetime.date.fromisoformat(raw)
-    return check_value(raw)
+def _answer_from_json(pair) -> Value:
+    """Decode a ``[kind, text]`` answer with the KB file's value codec."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+        raise ValueError(f"answer must be a [kind, text] pair, got {pair!r}")
+    return parse_value(pair[1], pair[0])
 
 
 def save_dataset(path, items: list[QAItem]) -> None:
@@ -442,7 +434,7 @@ def save_dataset(path, items: list[QAItem]) -> None:
                     {"start": start, "end": end, "id": eid}
                     for (start, end), eid in item.entities
                 ],
-                "answers": [_value_to_json(v) for v in item.answers],
+                "answers": [[value_kind(v), format_value(v)] for v in item.answers],
             }
             fh.write(json.dumps(record) + "\n")
 
@@ -455,14 +447,16 @@ def load_dataset(path) -> list[QAItem]:
                 continue
             try:
                 record = json.loads(line)
-                answers = canon(_value_from_json(v) for v in record["answers"])
+                if not isinstance(record["id"], str) or not isinstance(record["question"], str):
+                    raise ValueError("id and question must be strings")
+                answers = canon(_answer_from_json(v) for v in record["answers"])
                 item = QAItem(
                     record["id"],
                     tuple(record["question"].split(" ")),
                     tuple(((e["start"], e["end"]), e["id"]) for e in record["entities"]),
                     answers,
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, KBError) as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc
             if not item.answers:
                 raise DatasetError(f"{path}:{lineno}: empty answer set")

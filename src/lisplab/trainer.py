@@ -141,6 +141,19 @@ def evaluate(
     return Metrics(sum(precisions) / n, sum(recalls) / n, sum(f1s) / n, exact / n)
 
 
+def _log_record(model, kb, items, dev_items, store, config, iteration, mean_reward) -> dict:
+    """One training-log record, the same five keys after every ML
+    iteration and every REINFORCE epoch."""
+    return {
+        "iteration": iteration,
+        "mean_train_reward": mean_reward,
+        "dev_f1": evaluate(model, kb, dev_items, config.max_expressions).avg_f1
+        if dev_items else None,
+        "store_coverage": store.coverage(item.qid for item in items),
+        "store_rewards": store.rewards(),
+    }
+
+
 # ---------------------------------------------------------------------------
 # phase 1: iterative maximum likelihood
 
@@ -181,20 +194,12 @@ def iterative_ml(
     if not items:
         raise ValueError("empty training set")
     store = PseudoGoldStore()
-    qids = [item.qid for item in items]
     for iteration in range(1, config.ml_iterations + 1):
         mean_reward = _search_and_merge(model, kb, items, store, config)
         for _ in range(config.epochs_per_iteration):
             _likelihood_epoch(model, kb, items, store, config)
         if log is not None:
-            log({
-                "iteration": iteration,
-                "mean_train_reward": mean_reward,
-                "dev_f1": evaluate(model, kb, dev_items, config.max_expressions).avg_f1
-                if dev_items else None,
-                "store_coverage": store.coverage(qids),
-                "store_rewards": store.rewards(),
-            })
+            log(_log_record(model, kb, items, dev_items, store, config, iteration, mean_reward))
     return store
 
 
@@ -255,7 +260,6 @@ def augmented_reinforce(
         raise ValueError("empty training set")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    qids = [item.qid for item in items]
     baselines: dict[str, float] = {}
     for epoch in range(1, config.reinforce_epochs + 1):
         epoch_rewards = []
@@ -264,14 +268,8 @@ def augmented_reinforce(
                 _reinforce_question(model, kb, item, store, config, rng, baselines)
             )
         if log is not None:
-            log({
-                "iteration": iteration_offset + epoch,
-                "mean_train_reward": sum(epoch_rewards) / len(epoch_rewards),
-                "dev_f1": evaluate(model, kb, dev_items, config.max_expressions).avg_f1
-                if dev_items else None,
-                "store_coverage": store.coverage(qids),
-                "store_rewards": store.rewards(),
-            })
+            log(_log_record(model, kb, items, dev_items, store, config, iteration_offset + epoch,
+                            sum(epoch_rewards) / len(epoch_rewards)))
     return baselines
 
 

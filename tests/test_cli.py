@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lisplab import cli, taskgen, trainer
+from lisplab import cli, programmer, taskgen, trainer
 
 
 def run_cli(argv):
@@ -283,8 +283,79 @@ class TestEvalParse:
 
 
 class TestGradcheck:
-    def test_passes_and_prints_error(self, capsys):
-        rc = run_cli(["gradcheck", "--seed", "0"])
-        out = capsys.readouterr().out
+    """The CLI's wiring only; real gradients are checked by acceptance
+    criterion 4 and test_nnkernel.TestGradCheck."""
+
+    def fake_grad_check(self, monkeypatch, errors):
+        calls = []
+        errors = iter(errors)
+
+        def grad_check(seed, objective):
+            calls.append((seed, objective))
+            return next(errors)
+
+        monkeypatch.setattr(programmer, "grad_check", grad_check)
+        return calls
+
+    def test_passes_and_prints_error(self, monkeypatch, capsys):
+        calls = self.fake_grad_check(monkeypatch, [1e-7, 3e-6, 2e-7, 5e-8, 1e-4, 4e-7])
+        rc = run_cli(["gradcheck", "--seed", "5"])
+        assert calls == [(5, "likelihood"), (6, "likelihood"), (7, "likelihood"),
+                         (5, "policy"), (6, "policy"), (7, "policy")]
+        assert capsys.readouterr().out == "max relative error 1.000e-04\n"
         assert rc == 0
-        assert float(out.split()[-1]) <= 1e-4
+
+    def test_exit_1_above_bound(self, monkeypatch, capsys):
+        self.fake_grad_check(monkeypatch, [1e-7, 3e-6, 2e-7, 5e-8, 1.5e-4, 4e-7])
+        rc = run_cli(["gradcheck"])
+        assert capsys.readouterr().out == "max relative error 1.500e-04\n"
+        assert rc == 1
+
+
+def assert_one_error_line(argv):
+    proc = subprocess.run([sys.executable, "-m", "lisplab", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+CHECKPOINT_HEAD = b'{"format": "lisplab-checkpoint", "version": 1'
+
+
+class TestMalformedInputs:
+    """Each malformed input exits 1 with a single ``error:`` line."""
+
+    @pytest.mark.parametrize("blob", [
+        CHECKPOINT_HEAD + b', "meta": {}, "tensors": []}',  # no newline
+        b"[1]\n",
+        CHECKPOINT_HEAD + b', "meta": {}}\n',
+        CHECKPOINT_HEAD + b', "meta": {}, "tensors": [{"shape": [2]}]}\n',
+    ], ids=["no-newline", "not-an-object", "no-tensors", "tensor-without-name"])
+    def test_bad_checkpoint_header(self, bench, tmp_path, blob):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        assert_one_error_line(["eval", "--kb", bench["kb"], "--test", bench["test"],
+                               "--checkpoint", str(ckpt)])
+
+    def test_kb_with_other_properties(self, trained, bench, tmp_path):
+        kb12 = str(tmp_path / "kb12.tsv")
+        assert run_cli(["gen-kb", "--seed", "0", "--n-properties", "12", "--out", kb12]) == 0
+        question = " ".join(taskgen.load_dataset(bench["dev"])[0].tokens)
+        for argv in (["eval", "--test", bench["test"]], ["parse", "--question", question]):
+            line = assert_one_error_line(argv + ["--kb", kb12, "--checkpoint", str(trained["ckpt"])])
+            assert "property set" in line
+
+    @pytest.mark.parametrize("record", [
+        {"id": "q", "question": "a e001", "entities": [{"start": 1, "end": 2, "id": "e001"}],
+         "answers": ["e002"]},
+        {"id": "q", "question": "a  e001", "entities": [{"start": 2, "end": 3, "id": "e001"}],
+         "answers": [["entity", "e002"]]},
+    ], ids=["answer-without-kind", "empty-token"])
+    def test_bad_dataset_line(self, trained, bench, tmp_path, record):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        line = assert_one_error_line(["eval", "--kb", bench["kb"], "--test", str(data),
+                                      "--checkpoint", str(trained["ckpt"])])
+        assert "bad.jsonl:1" in line

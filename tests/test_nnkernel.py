@@ -353,11 +353,32 @@ class TestCheckpoint:
         nn.save_checkpoint(path2, nn.params_to_arrays(fresh), meta)
         assert path2.read_bytes() == path.read_bytes()
 
+    GARBAGE = [
+        b'{"format": "something-else"}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {}, "tensors": []}',  # no newline
+        b"",
+        b"[1]\n",
+        b'"lisplab-checkpoint"\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {}}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "tensors": []}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": [], "tensors": []}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {}, "tensors": {}}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {}, "tensors": [{"shape": [1]}]}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {}, "tensors": [{"name": "a"}]}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {}, "tensors": [7]}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {},'
+        b' "tensors": [{"name": "a", "shape": ["x"]}]}\n',
+        b'{"format": "lisplab-checkpoint", "version": 1, "meta": {},'
+        b' "tensors": [{"name": "a", "shape": [2]}]}\n\x00\x00',  # truncated data
+    ]
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b'{"format": "something-else"}\n')
-        with pytest.raises(ValueError):
-            nn.load_checkpoint(path)
+        for blob in self.GARBAGE:
+            path.write_bytes(blob)
+            with pytest.raises(ValueError) as info:
+                nn.load_checkpoint(path)
+            assert "\n" not in str(info.value), blob
 
     def test_rejects_trailing_bytes(self, tmp_path):
         rng = rng_of(0)

@@ -57,6 +57,12 @@ class TestQAItem:
         with pytest.raises(ValueError):
             pg.QAItem("q", ("a", "b", "c"), (((0, 2), "x"), ((1, 3), "y")), ("a",))
 
+    @pytest.mark.parametrize("token", ["", " ", "a b", "a\tb", "b\n"],
+                             ids=["empty", "space", "inner-space", "tab", "newline"])
+    def test_empty_or_whitespace_token_rejected(self, token):
+        with pytest.raises(ValueError, match="whitespace"):
+            pg.QAItem("q", ("what", token, "abe"), (((2, 3), "abe"),), ("a",))
+
     def test_answers_canonicalized(self):
         item = item_of(answers=("b", "a", "b"))
         assert item.answers == ("a", "b")
@@ -347,6 +353,19 @@ class TestCheckpointing:
         assert reloaded.static_tokens == model.static_tokens
         after = pg.beam_search(reloaded, kb, item, 4)
         assert [(c.tokens, c.logprob) for c in before] == [(c.tokens, c.logprob) for c in after]
+
+    def test_missing_or_malformed_meta_rejected(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "model.ckpt"
+        pg.save_model(path, model)
+        meta, arrays = nn.load_checkpoint(path)
+        for key in meta:
+            nn.save_checkpoint(path, list(arrays.items()), {k: v for k, v in meta.items() if k != key})
+            with pytest.raises(ValueError, match=key):
+                pg.load_model(path)
+        nn.save_checkpoint(path, list(arrays.items()), {**meta, "word_vocab": 7})
+        with pytest.raises(ValueError, match="malformed"):
+            pg.load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
         model = tiny_model()

@@ -1,5 +1,6 @@
 import collections
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -171,23 +172,50 @@ class TestDatasetFiles:
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(taskgen.DatasetError, match="bad.jsonl:1"):
-            taskgen.load_dataset(path)
+        good = {"id": "q", "question": "a b", "entities": [{"start": 0, "end": 1, "id": "x"}],
+                "answers": [["entity", "y"]]}
+        for line in ["not json", "[1]", json.dumps({**good, "question": 5}),
+                     json.dumps({**good, "id": 5}),
+                     json.dumps({**good, "entities": [{"start": 0, "end": 1, "id": 5}]})]:
+            path.write_text(line + "\n")
+            with pytest.raises(taskgen.DatasetError, match="bad.jsonl:1"):
+                taskgen.load_dataset(path)
 
     def test_bad_span_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
             '{"id": "q", "question": "a b", "entities": [{"start": 0, "end": 9, "id": "x"}],'
-            ' "answers": ["y"]}\n'
+            ' "answers": [["entity", "y"]]}\n'
         )
-        with pytest.raises(taskgen.DatasetError):
+        with pytest.raises(taskgen.DatasetError, match="span"):
             taskgen.load_dataset(path)
 
-    def test_date_strings_decode_as_dates(self, tmp_path):
+    def test_answers_round_trip_by_kind(self, tmp_path):
+        # an entity id shaped like a date stays an entity
+        item = QAItem("q", ("a", "b"), (), ("2020-01-01", 7.25, datetime.date(2020, 1, 1)))
         path = tmp_path / "data.jsonl"
-        path.write_text(
-            '{"id": "q", "question": "a b", "entities": [], "answers": ["2001-02-03", "e9", 7]}\n'
-        )
-        (item,) = taskgen.load_dataset(path)
-        assert item.answers == ("e9", 7.0, datetime.date(2001, 2, 3))
+        taskgen.save_dataset(path, [item])
+        assert json.loads(path.read_text())["answers"] == [
+            ["entity", "2020-01-01"], ["number", "7.25"], ["date", "2020-01-01"]
+        ]
+        (loaded,) = taskgen.load_dataset(path)
+        assert loaded == item
+        assert [type(v) for v in loaded.answers] == [str, float, datetime.date]
+
+    @pytest.mark.parametrize("answer", ['"e9"', "7", '["e9"]', '["entity", 7]', '["thing", "x"]',
+                                        '["date", "2020-13-01"]', '["number", "nan"]'])
+    def test_answer_without_valid_kind_rejected(self, tmp_path, answer):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "q", "question": "a b", "entities": [], "answers": [["entity", "y"]]}\n'
+                        '{"id": "q", "question": "a b", "entities": [], "answers": [%s]}\n' % answer)
+        with pytest.raises(taskgen.DatasetError, match="bad.jsonl:2"):
+            taskgen.load_dataset(path)
+
+    @pytest.mark.parametrize("question", ["what  is the rel0 of e001", " a b", "a b ", "a\tb"],
+                             ids=["double-space", "leading", "trailing", "tab"])
+    def test_empty_or_whitespace_token_rejected(self, tmp_path, question):
+        path = tmp_path / "bad.jsonl"
+        record = {"id": "q", "question": question, "entities": [], "answers": [["entity", "y"]]}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(taskgen.DatasetError, match="bad.jsonl:1: .*whitespace"):
+            taskgen.load_dataset(path)
