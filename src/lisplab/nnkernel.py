@@ -1,45 +1,28 @@
 """Deterministic numeric core: tensors, GRU, attention, exact gradients.
 
 A tiny tape: every op returns a Tensor that remembers its inputs and a
-closure computing input gradients from the output gradient. backward()
-walks the tape once in reverse topological order. Layers that matter for
-speed (GRU step, attention, the masked log-likelihood) are single tape
-nodes with hand-derived backward passes; everything is float64 so
-finite-difference checks are meaningful. ``programmer.grad_check`` runs
-that check on the programmer's own replay, so it covers these backward
-passes as training wires them.
+closure computing input gradients from the output gradient. Every op
+records; there is no tape-off mode. backward() walks the tape once in
+reverse topological order. The layers (GRU step, attention, output
+logits, masked log-likelihood) are single tape nodes with hand-derived
+backward passes, in float64 so finite differences are meaningful;
+``programmer.grad_check`` runs that check on the programmer's replay.
 
-The module holds only what the package calls: the tape ops the replay
-uses, their plain-numpy twins for search and sampling (batched over
-lanes, no tape), the masked log-softmax both sides share, and the
-checkpoint format.
-
-No GPU, no graph compiler, no broadcasting zoo. Shapes are vectors and
-matrices, which is all a one-layer seq2seq needs.
+Each layer's forward is written once, batched as ``x @ W.T``. The tape
+op passes it vectors; the plain-numpy twin that search and sampling
+call passes vectors or (B, H) batches of lanes. For vectors ``x @ W.T``
+is the same matrix-vector product as ``W @ x``, bit for bit. Besides
+these the module holds the masked log-softmax both sides share and the
+checkpoint format. No GPU, no graph compiler, no broadcasting zoo.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block (forward values only)."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = saved
 
 
 class Tensor:
@@ -50,16 +33,8 @@ class Tensor:
     def __init__(self, data, prev=(), bw=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        if _grad_enabled:
-            self._prev = prev
-            self._bw = bw
-        else:
-            self._prev = ()
-            self._bw = None
-
-    @property
-    def shape(self):
-        return self.data.shape
+        self._prev = prev
+        self._bw = bw
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -117,43 +92,23 @@ def addn(ts: list[Tensor]) -> Tensor:
     data = ts[0].data.copy()
     for t in ts[1:]:
         data = data + t.data
-    out = Tensor(data, tuple(ts))
-    if _grad_enabled:
-        def bw(g):
-            for t in ts:
-                _acc(t, g)
-        out._bw = bw
-    return out
+
+    def bw(g):
+        for t in ts:
+            _acc(t, g)
+    return Tensor(data, ts, bw)
 
 
 def scale(t: Tensor, c: float) -> Tensor:
-    out = Tensor(t.data * c, (t,))
-    if _grad_enabled:
-        def bw(g):
-            _acc(t, g * c)
-        out._bw = bw
-    return out
-
-
-def matvec(w: Tensor, v: Tensor) -> Tensor:
-    """w (out_dim, in_dim) @ v (in_dim)."""
-    vd = v.data
-    out = Tensor(w.data @ vd, (w, v))
-    if _grad_enabled:
-        def bw(g):
-            _acc(w, np.outer(g, vd))
-            _acc(v, w.data.T @ g)
-        out._bw = bw
-    return out
+    def bw(g):
+        _acc(t, g * c)
+    return Tensor(t.data * c, (t,), bw)
 
 
 def row(table: Tensor, idx: int) -> Tensor:
-    out = Tensor(table.data[idx], (table,))
-    if _grad_enabled:
-        def bw(g):
-            _acc_rows(table, idx, g)
-        out._bw = bw
-    return out
+    def bw(g):
+        _acc_rows(table, idx, g)
+    return Tensor(table.data[idx], (table,), bw)
 
 
 def stack(vecs: list[Tensor]) -> Tensor:
@@ -161,13 +116,11 @@ def stack(vecs: list[Tensor]) -> Tensor:
     vecs = tuple(vecs)
     if not vecs:
         raise ValueError("stack of nothing")
-    out = Tensor(np.stack([v.data for v in vecs]), tuple(vecs))
-    if _grad_enabled:
-        def bw(g):
-            for i, v in enumerate(vecs):
-                _acc(v, g[i])
-        out._bw = bw
-    return out
+
+    def bw(g):
+        for i, v in enumerate(vecs):
+            _acc(v, g[i])
+    return Tensor(np.stack([v.data for v in vecs]), vecs, bw)
 
 
 def span_mean(mat: Tensor, start: int, end: int) -> Tensor:
@@ -175,23 +128,10 @@ def span_mean(mat: Tensor, start: int, end: int) -> Tensor:
     if not 0 <= start < end <= mat.data.shape[0]:
         raise ValueError(f"bad span ({start}, {end})")
     width = end - start
-    out = Tensor(mat.data[start:end].mean(axis=0), (mat,))
-    if _grad_enabled:
-        def bw(g):
-            _acc_rows(mat, slice(start, end), g / width)
-        out._bw = bw
-    return out
 
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    na = a.data.shape[0]
-    out = Tensor(np.concatenate([a.data, b.data]), (a, b))
-    if _grad_enabled:
-        def bw(g):
-            _acc(a, g[:na])
-            _acc(b, g[na:])
-        out._bw = bw
-    return out
+    def bw(g):
+        _acc_rows(mat, slice(start, end), g / width)
+    return Tensor(mat.data[start:end].mean(axis=0), (mat,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -308,110 +248,141 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# fused layers
+# layers: one forward each, shared by the tape op and its plain-numpy twin
+
+
+def _sigmoid_np(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _gru_gates(gp: GRUParams, h: np.ndarray, x: np.ndarray):
+    """Update gate z, reset gate r and candidate c of one GRU step.
+
+    The reset gate applies to the hidden path before the candidate;
+    h, x are (H,)/(E,) or (B,H)/(B,E).
+    """
+    z = _sigmoid_np(x @ gp.wxz.data.T + h @ gp.whz.data.T + gp.bz.data)
+    r = _sigmoid_np(x @ gp.wxr.data.T + h @ gp.whr.data.T + gp.br.data)
+    c = np.tanh(x @ gp.wxc.data.T + (r * h) @ gp.whc.data.T + gp.bc.data)
+    return z, r, c
 
 
 def gru_step(gp: GRUParams, h: Tensor, x: Tensor) -> Tensor:
-    """One GRU step: update/reset gates, candidate, interpolation.
-
-    The update gate keeps the old state: h' = z*h + (1-z)*c, with the
-    reset gate applied to the hidden path before the candidate.
-    """
+    """One GRU step; the update gate keeps the old state: h' = z*h + (1-z)*c."""
     hd, xd = h.data, x.data
     if hd.shape[0] != gp.whz.data.shape[1] or xd.shape[0] != gp.wxz.data.shape[1]:
         raise ValueError("gru_step shape mismatch")
-    z = _sigmoid_np(gp.wxz.data @ xd + gp.whz.data @ hd + gp.bz.data)
-    r = _sigmoid_np(gp.wxr.data @ xd + gp.whr.data @ hd + gp.br.data)
-    rh = r * hd
-    c = np.tanh(gp.wxc.data @ xd + gp.whc.data @ rh + gp.bc.data)
-    out = Tensor(
-        z * hd + (1.0 - z) * c,
-        (h, x, gp.wxz, gp.whz, gp.bz, gp.wxr, gp.whr, gp.br, gp.wxc, gp.whc, gp.bc),
-    )
-    if _grad_enabled:
-        def bw(g):
-            dz = g * (hd - c)
-            dh = g * z
-            dc_pre = g * (1.0 - z) * (1.0 - c * c)
-            dz_pre = dz * z * (1.0 - z)
-            drh = gp.whc.data.T @ dc_pre
-            dr_pre = drh * hd * r * (1.0 - r)
-            dh += drh * r
-            dh += gp.whz.data.T @ dz_pre + gp.whr.data.T @ dr_pre
-            dx = gp.wxz.data.T @ dz_pre + gp.wxr.data.T @ dr_pre + gp.wxc.data.T @ dc_pre
-            _acc(gp.wxz, np.outer(dz_pre, xd))
-            _acc(gp.whz, np.outer(dz_pre, hd))
-            _acc(gp.bz, dz_pre)
-            _acc(gp.wxr, np.outer(dr_pre, xd))
-            _acc(gp.whr, np.outer(dr_pre, hd))
-            _acc(gp.br, dr_pre)
-            _acc(gp.wxc, np.outer(dc_pre, xd))
-            _acc(gp.whc, np.outer(dc_pre, rh))
-            _acc(gp.bc, dc_pre)
-            _acc(x, dx)
-            _acc(h, dh)
-        out._bw = bw
-    return out
+    z, r, c = _gru_gates(gp, hd, xd)
+
+    def bw(g):
+        rh = r * hd
+        dz = g * (hd - c)
+        dh = g * z
+        dc_pre = g * (1.0 - z) * (1.0 - c * c)
+        dz_pre = dz * z * (1.0 - z)
+        drh = gp.whc.data.T @ dc_pre
+        dr_pre = drh * hd * r * (1.0 - r)
+        dh += drh * r
+        dh += gp.whz.data.T @ dz_pre + gp.whr.data.T @ dr_pre
+        dx = gp.wxz.data.T @ dz_pre + gp.wxr.data.T @ dr_pre + gp.wxc.data.T @ dc_pre
+        _acc(gp.wxz, np.outer(dz_pre, xd))
+        _acc(gp.whz, np.outer(dz_pre, hd))
+        _acc(gp.bz, dz_pre)
+        _acc(gp.wxr, np.outer(dr_pre, xd))
+        _acc(gp.whr, np.outer(dr_pre, hd))
+        _acc(gp.br, dr_pre)
+        _acc(gp.wxc, np.outer(dc_pre, xd))
+        _acc(gp.whc, np.outer(dc_pre, rh))
+        _acc(gp.bc, dc_pre)
+        _acc(x, dx)
+        _acc(h, dh)
+    prev = (h, x, gp.wxz, gp.whz, gp.bz, gp.wxr, gp.whr, gp.br, gp.wxc, gp.whc, gp.bc)
+    return Tensor(z * hd + (1.0 - z) * c, prev, bw)
 
 
-def attention(ap: AttentionParams, u: Tensor, enc: Tensor) -> Tensor:
-    """Dot-product attention, tanh-combined.
+def gru_step_np(gp: GRUParams, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tape-free twin of gru_step: h, x may be (H,)/(E,) or (B,H)/(B,E)."""
+    z, _, c = _gru_gates(gp, h, x)
+    return z * h + (1.0 - z) * c
+
+
+def _attend(ap: AttentionParams, u: np.ndarray, enc: np.ndarray):
+    """Dot-product attention, tanh-combined, for u of shape (H,) or (B,H).
 
     scores s_t = u . (W_score @ enc_t); weights = softmax(s);
     context = sum_t w_t enc_t; output = tanh(W_combine @ [u; context]).
+    Returns the query u @ W_score, the weights, [u; context] and the output.
     """
+    q = u @ ap.w_score.data
+    s = q @ enc.T
+    s = s - s.max(axis=-1, keepdims=True)
+    w = np.exp(s)
+    w /= w.sum(axis=-1, keepdims=True)
+    cat = np.concatenate([u, w @ enc], axis=-1)
+    return q, w, cat, np.tanh(cat @ ap.w_combine.data.T)
+
+
+def attention(ap: AttentionParams, u: Tensor, enc: Tensor) -> Tensor:
+    """Attention of one decoder state over the encoder outputs (T, H)."""
     ud, encd = u.data, enc.data
     if encd.ndim != 2 or encd.shape[0] == 0:
         raise ValueError("attention needs at least one encoder output")
-    q = ap.w_score.data.T @ ud
-    s = encd @ q
-    s = s - s.max()
-    w = np.exp(s)
-    w /= w.sum()
-    ctx = encd.T @ w
-    cat = np.concatenate([ud, ctx])
-    comb = ap.w_combine.data @ cat
-    od = np.tanh(comb)
-    out = Tensor(od, (u, enc, ap.w_score, ap.w_combine))
-    if _grad_enabled:
-        def bw(g):
-            dcomb = g * (1.0 - od * od)
-            _acc(ap.w_combine, np.outer(dcomb, cat))
-            dcat = ap.w_combine.data.T @ dcomb
-            hidden = ud.shape[0]
-            du = dcat[:hidden].copy()
-            dctx = dcat[hidden:]
-            dw = encd @ dctx
-            denc = np.outer(w, dctx)
-            ds = w * (dw - w @ dw)
-            dq = encd.T @ ds
-            denc += np.outer(ds, q)
-            du += ap.w_score.data @ dq
-            _acc(ap.w_score, np.outer(ud, dq))
-            _acc(u, du)
-            _acc(enc, denc)
-        out._bw = bw
-    return out
+    q, w, cat, od = _attend(ap, ud, encd)
+
+    def bw(g):
+        dcomb = g * (1.0 - od * od)
+        _acc(ap.w_combine, np.outer(dcomb, cat))
+        dcat = ap.w_combine.data.T @ dcomb
+        hidden = ud.shape[0]
+        du = dcat[:hidden].copy()
+        dctx = dcat[hidden:]
+        dw = encd @ dctx
+        denc = np.outer(w, dctx)
+        ds = w * (dw - w @ dw)
+        dq = encd.T @ ds
+        denc += np.outer(ds, q)
+        du += ap.w_score.data @ dq
+        _acc(ap.w_score, np.outer(ud, dq))
+        _acc(u, du)
+        _acc(enc, denc)
+    return Tensor(od, (u, enc, ap.w_score, ap.w_combine), bw)
 
 
-def var_logits(w_key: Tensor, a: Tensor, keys: list[Tensor]) -> Tensor:
-    """One logit per memory key: key_i . (W_key @ a)."""
+def attention_np(ap: AttentionParams, u: np.ndarray, enc: np.ndarray) -> np.ndarray:
+    """Tape-free twin of attention: u may be (H,) or (B,H); enc is (T,H)."""
+    return _attend(ap, u, enc)[3]
+
+
+def output_logits(w_out: Tensor, w_key: Tensor, a: Tensor, keys: list[Tensor]) -> Tensor:
+    """Decoder logits of attention output a: one per static token
+    (a @ W_out.T), then one per memory key, key_i . (a @ W_key.T)."""
     keys = tuple(keys)  # snapshot: callers may grow their list afterwards
-    if not keys:
-        raise ValueError("no keys")
     ad = a.data
-    proj = w_key.data @ ad
-    kmat = np.stack([k.data for k in keys])
-    out = Tensor(kmat @ proj, (w_key, a, *keys))
-    if _grad_enabled:
-        def bw(g):
-            dproj = kmat.T @ g
+    data = ad @ w_out.data.T
+    n_static = data.shape[0]
+    if keys:
+        proj = ad @ w_key.data.T
+        kmat = np.stack([k.data for k in keys])
+        data = np.concatenate([data, kmat @ proj])
+
+    def bw(g):
+        gs = g[:n_static]
+        _acc(w_out, np.outer(gs, ad))
+        da = w_out.data.T @ gs
+        if keys:
+            gv = g[n_static:]
+            dproj = kmat.T @ gv
             for i, k in enumerate(keys):
-                _acc(k, g[i] * proj)
+                _acc(k, gv[i] * proj)
             _acc(w_key, np.outer(dproj, ad))
-            _acc(a, w_key.data.T @ dproj)
-        out._bw = bw
-    return out
+            da += w_key.data.T @ dproj
+        _acc(a, da)
+    return Tensor(data, (w_out, w_key, a, *keys), bw)
 
 
 def masked_log_prob(logits: Tensor, valid_ids: np.ndarray, chosen: int) -> Tensor:
@@ -427,53 +398,14 @@ def masked_log_prob(logits: Tensor, valid_ids: np.ndarray, chosen: int) -> Tenso
     if pos.size != 1:
         raise ValueError(f"chosen id {chosen} not among valid ids")
     logps = log_probs_over(ld, valid_ids)
-    out = Tensor(logps[pos[0]], (logits,))
-    if _grad_enabled:
-        def bw(g):
-            p = np.exp(logps)
-            gl = np.zeros_like(ld)
-            np.add.at(gl, valid_ids, -float(g) * p)
-            gl[chosen] += float(g)
-            _acc(logits, gl)
-        out._bw = bw
-    return out
 
-
-# ---------------------------------------------------------------------------
-# plain-numpy twins (no tape; used by search and sampling)
-
-
-def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def gru_step_np(gp: GRUParams, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batched twin of gru_step: h, x may be (H,)/(E,) or (B,H)/(B,E)."""
-    z = _sigmoid_np(x @ gp.wxz.data.T + h @ gp.whz.data.T + gp.bz.data)
-    r = _sigmoid_np(x @ gp.wxr.data.T + h @ gp.whr.data.T + gp.br.data)
-    c = np.tanh(x @ gp.wxc.data.T + (r * h) @ gp.whc.data.T + gp.bc.data)
-    return z * h + (1.0 - z) * c
-
-
-def attention_np(ap: AttentionParams, u: np.ndarray, enc: np.ndarray) -> np.ndarray:
-    """Batched twin of attention: u may be (H,) or (B,H); enc is (T,H)."""
-    single = u.ndim == 1
-    if single:
-        u = u[None]
-    q = u @ ap.w_score.data
-    s = q @ enc.T
-    s = s - s.max(axis=1, keepdims=True)
-    w = np.exp(s)
-    w /= w.sum(axis=1, keepdims=True)
-    ctx = w @ enc
-    cat = np.concatenate([u, ctx], axis=1)
-    out = np.tanh(cat @ ap.w_combine.data.T)
-    return out[0] if single else out
+    def bw(g):
+        p = np.exp(logps)
+        gl = np.zeros_like(ld)
+        np.add.at(gl, valid_ids, -float(g) * p)
+        gl[chosen] += float(g)
+        _acc(logits, gl)
+    return Tensor(logps[pos[0]], (logits,), bw)
 
 
 def log_probs_over(logits: np.ndarray, valid_ids: np.ndarray) -> np.ndarray:

@@ -8,11 +8,11 @@ the static program tokens plus one token per memory variable. When an
 expression closes, the machine executes it and the result joins the
 memory, keyed by the decoder output of the step that read ")".
 
-Search and sampling run on plain numpy (no tape); training replays a
-chosen program through the tape to get exact gradients of its log
-probability. Both follow one set of decoder rules (``_start``,
-``_valid_ids``, ``_feed``), and ``grad_check`` compares the replay's
-gradients with finite differences.
+Search and sampling decode on plain numpy (their encoder's tape is
+discarded); training replays a chosen program through the tape to get
+exact gradients of its log probability. Both follow one set of decoder
+rules (``_start``, ``_valid_ids``, ``_feed``), and ``grad_check``
+compares the replay's gradients with finite differences.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class QAItem:
                 raise ValueError(f"question token {token!r} is empty or contains whitespace")
         last = 0
         for (start, end), eid in self.entities:
+            if type(start) is not int or type(end) is not int:
+                raise ValueError(f"entity span bounds must be integers, got ({start!r}, {end!r})")
             if not (0 <= start < end <= len(self.tokens)):
                 raise ValueError(f"entity span ({start}, {end}) out of bounds")
             if start < last:
@@ -122,6 +124,8 @@ def build_model(
     seed: int = 0,
 ) -> Model:
     """Vocabulary from the training questions, parameters from the seed."""
+    if embed_dim < 1 or hidden_dim < 1:
+        raise ValueError("embed_dim and hidden_dim must be at least 1")
     words = sorted({w for item in train_items for w in item.abstracted()})
     word_vocab = [UNK] + words
     static_tokens = static_token_list(kb)
@@ -144,13 +148,22 @@ def load_model(path) -> Model:
     meta, arrays = nn.load_checkpoint(path)
     params = nn.params_from_arrays(arrays)
     try:
-        model = Model(list(meta["word_vocab"]), list(meta["static_tokens"]), params)
+        vocabs = (meta["word_vocab"], meta["static_tokens"])
         dims = (meta["embed_dim"], meta["hidden_dim"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"checkpoint meta is missing or malformed: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"checkpoint meta is missing {exc}") from None
+    for name, vocab, table in zip(("word_vocab", "static_tokens"), vocabs,
+                                  (params.word_emb, params.token_emb)):
+        if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
+                and len(set(vocab)) == len(vocab)):
+            raise ValueError(f"checkpoint meta {name} is malformed: "
+                             "not a list of distinct strings")
+        if len(vocab) != table.data.shape[0]:
+            raise ValueError(f"checkpoint meta {name} has {len(vocab)} entries "
+                             f"for {table.data.shape[0]} embedding rows")
     if dims != (params.embed_dim, params.hidden_dim):
         raise ValueError("checkpoint dims inconsistent with stored tensors")
-    return model
+    return Model(*vocabs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +281,9 @@ class Candidate:
         return " ".join(self.tokens)
 
 
-def _encode_np(model: Model, item: QAItem):
-    with nn.no_grad():
-        encoding = encode(model, item)
-    return (
-        encoding.enc.data,
-        encoding.last.data,
-        [k.data for k in encoding.keys],
-    )
-
-
-def _start_lane(model: Model, kb: KnowledgeBase, item: QAItem, max_expressions, enc_np):
-    _, last, keys = enc_np
-    state, dec_h = _start(model, kb, item, max_expressions, last, tape=False)
-    return _Lane(state, dec_h, list(keys))
+def _start_lane(model: Model, kb: KnowledgeBase, item: QAItem, max_expressions, encoding):
+    state, dec_h = _start(model, kb, item, max_expressions, encoding.last.data, tape=False)
+    return _Lane(state, dec_h, [k.data for k in encoding.keys])
 
 
 def _lane_scores(model: Model, enc: np.ndarray, lanes: list[_Lane]):
@@ -329,11 +331,11 @@ def beam_search(
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    enc_np = _encode_np(model, item)
-    live = [_start_lane(model, kb, item, max_expressions, enc_np)]
+    encoding = encode(model, item)
+    live = [_start_lane(model, kb, item, max_expressions, encoding)]
     finished: list[Candidate] = []
     while live:
-        scored = _lane_scores(model, enc_np[0], live)
+        scored = _lane_scores(model, encoding.enc.data, live)
         expanded: list[_Lane] = []
         for lane, (valid_ids, logps) in zip(live, scored):
             for tid, lp in zip(valid_ids, logps):
@@ -371,15 +373,15 @@ def sample_programs(
     Randomness is consumed one uniform draw per unfinished lane per step,
     in lane order, so results depend only on the rng state and arguments.
     """
-    enc_np = _encode_np(model, item)
+    encoding = encode(model, item)
     lanes = [
-        _start_lane(model, kb, item, max_expressions, enc_np) for _ in range(n_samples)
+        _start_lane(model, kb, item, max_expressions, encoding) for _ in range(n_samples)
     ]
     while True:
         active = [lane for lane in lanes if not lane.done]
         if not active:
             break
-        scored = _lane_scores(model, enc_np[0], active)
+        scored = _lane_scores(model, encoding.enc.data, active)
         for lane, (valid_ids, logps) in zip(active, scored):
             u = rng.random()
             probs = np.exp(logps)
@@ -402,12 +404,12 @@ def next_token_distribution(
     max_expressions: int = MAX_EXPRESSIONS,
 ) -> dict[str, float]:
     """Model probabilities over the valid next tokens after a prefix."""
-    enc_np = _encode_np(model, item)
-    lane = _start_lane(model, kb, item, max_expressions, enc_np)
+    encoding = encode(model, item)
+    lane = _start_lane(model, kb, item, max_expressions, encoding)
     for token in prefix:
         if lane.done:
             raise ValueError("prefix continues past RETURN")
-        lane_scores = _lane_scores(model, enc_np[0], [lane])[0]
+        lane_scores = _lane_scores(model, encoding.enc.data, [lane])[0]
         tid = model.token_to_id(token)
         pos = np.nonzero(lane_scores[0] == tid)[0]
         if pos.size != 1:
@@ -415,7 +417,7 @@ def next_token_distribution(
         _advance(model, lane, tid, float(lane_scores[1][pos[0]]))
     if lane.done:
         return {}
-    valid_ids, logps = _lane_scores(model, enc_np[0], [lane])[0]
+    valid_ids, logps = _lane_scores(model, encoding.enc.data, [lane])[0]
     return {model.id_to_token(int(t)): float(np.exp(lp)) for t, lp in zip(valid_ids, logps)}
 
 
@@ -445,9 +447,7 @@ def program_logprob(
         if state.terminated:
             raise ValueError("program continues past RETURN")
         att = nn.attention(params.attention, dec_h, encoding.enc)
-        logits = nn.matvec(params.w_out, att)
-        if keys:
-            logits = nn.concat(logits, nn.var_logits(params.w_key, att, keys))
+        logits = nn.output_logits(params.w_out, params.w_key, att, keys)
         tid = model.token_to_id(token)
         step_lps.append(nn.masked_log_prob(logits, _valid_ids(model, state), tid))
         state, dec_h = _feed(model, state, dec_h, keys, tid, tape=True)
@@ -518,11 +518,9 @@ def grad_check(
         for i in range(flat.shape[0]):
             saved = flat[i]
             flat[i] = saved + epsilon
-            with nn.no_grad():
-                up = float(loss().data)
+            up = float(loss().data)
             flat[i] = saved - epsilon
-            with nn.no_grad():
-                down = float(loss().data)
+            down = float(loss().data)
             flat[i] = saved
             fd = (up - down) / (2.0 * epsilon)
             err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-3)

@@ -15,6 +15,7 @@ so a fixed seed reproduces runs bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,6 +88,8 @@ class TrainConfig:
                      "epochs_per_iteration", "ml_iterations", "max_expressions"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.reinforce_epochs < 0:
             raise ValueError("reinforce_epochs must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:

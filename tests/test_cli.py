@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lisplab import cli, programmer, taskgen, trainer
+from lisplab import nnkernel as nn
 
 
 def run_cli(argv):
@@ -359,3 +360,54 @@ class TestMalformedInputs:
         line = assert_one_error_line(["eval", "--kb", bench["kb"], "--test", str(data),
                                       "--checkpoint", str(trained["ckpt"])])
         assert "bad.jsonl:1" in line
+
+    def test_gen_kb_without_entities(self):
+        assert_one_error_line(["gen-kb", "--n-entities", "0"])
+
+    def test_gen_data_negative_split(self, bench, tmp_path):
+        outs = [str(tmp_path / f"{split}.jsonl") for split in ("train", "dev", "test")]
+        assert_one_error_line(["gen-data", "--kb", bench["kb"], "--n-train", "-1",
+                               "--out-train", outs[0], "--out-dev", outs[1], "--out-test", outs[2]])
+
+    @pytest.mark.parametrize("program", ["( Hop R0 NoSuchProperty ) RETURN", "( Hop R0 rel0"],
+                             ids=["unknown-property", "unterminated"])
+    def test_bad_exec_program(self, bench, program):
+        assert_one_error_line(["exec", "--kb", bench["kb"], "--program", program,
+                               "--entity", "R0=e000"])
+
+    def test_assist_invalid_prefix(self, bench):
+        assert_one_error_line(["assist", "--kb", bench["kb"], "--prefix", "( Bogus",
+                               "--entity", "R0=e000"])
+
+    @pytest.mark.parametrize("config, float_span, message", [
+        ("", True, "float.jsonl:1"),
+        ("learning_rate = nan\n", False, "learning_rate"),
+        ("hidden_dim = 0\n", False, "hidden_dim"),
+    ], ids=["float-span", "nan-learning-rate", "zero-hidden-dim"])
+    def test_bad_train_input(self, bench, tmp_path, config, float_span, message):
+        train = bench["train"]
+        if float_span:
+            with open(train, encoding="utf-8") as fh:
+                record = json.loads(fh.readline())
+            entity = record["entities"][0]
+            entity["start"], entity["end"] = float(entity["start"]), float(entity["end"])
+            train = tmp_path / "float.jsonl"
+            train.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        ckpt = tmp_path / "model.ckpt"
+        line = assert_one_error_line(["train", "--kb", bench["kb"], "--train", str(train),
+                                      "--dev", bench["dev"], "--config", str(cfg),
+                                      "--out-checkpoint", str(ckpt)])
+        assert message in line
+        assert not ckpt.exists()
+
+    def test_vocabulary_longer_than_its_table(self, trained, bench, tmp_path):
+        meta, arrays = nn.load_checkpoint(trained["ckpt"])
+        ckpt = tmp_path / "long.ckpt"
+        meta["word_vocab"] = meta["word_vocab"] + [f"extra{i}" for i in range(5)]
+        nn.save_checkpoint(ckpt, list(arrays.items()), meta)
+        question = " ".join(taskgen.load_dataset(bench["dev"])[0].tokens)
+        line = assert_one_error_line(["parse", "--kb", bench["kb"], "--question", question,
+                                      "--checkpoint", str(ckpt)])
+        assert "word_vocab" in line

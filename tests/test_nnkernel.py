@@ -55,7 +55,7 @@ class TestGRU:
         h, x = rng.normal(size=6), rng.normal(size=4)
         tape = nn.gru_step(gp, nn.leaf(h), nn.leaf(x)).data
         twin = nn.gru_step_np(gp, h, x)
-        assert np.allclose(tape, twin, atol=1e-12, rtol=0)
+        assert tape.tobytes() == twin.tobytes()  # one forward serves both
 
     def test_np_twin_batched_rows_match_single(self):
         rng = rng_of(2)
@@ -110,7 +110,7 @@ class TestAttention:
         enc = rng.normal(size=(7, 6))
         tape = nn.attention(ap, nn.leaf(u), nn.leaf(enc)).data
         twin = nn.attention_np(ap, u, enc)
-        assert np.allclose(tape, twin, atol=1e-12, rtol=0)
+        assert tape.tobytes() == twin.tobytes()  # one forward serves both
         batch = nn.attention_np(ap, np.stack([u, u * 2]), enc)
         assert np.allclose(batch[0], twin, atol=1e-12, rtol=0)
 
@@ -204,11 +204,9 @@ def fd_check(loss_fn, tensors, epsilon=1e-6, tol=1e-6):
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + epsilon
-            with nn.no_grad():
-                up = float(loss_fn().data)
+            up = float(loss_fn().data)
             flat[i] = saved - epsilon
-            with nn.no_grad():
-                down = float(loss_fn().data)
+            down = float(loss_fn().data)
             flat[i] = saved
             fd = (up - down) / (2 * epsilon)
             assert abs(aflat[i] - fd) <= tol * max(1.0, abs(fd)), (i, aflat[i], fd)
@@ -218,25 +216,29 @@ class TestBackward:
     def test_zero_objective_gradient_zero_param_gradient(self):
         rng = rng_of(0)
         w = nn.leaf(rng.normal(size=(3, 3)))
+        wk = nn.leaf(rng.normal(size=(3, 3)))
         v = nn.leaf(rng.normal(size=3))
-        loss = nn.scale(nn.masked_log_prob(nn.matvec(w, v), np.arange(3), 1), 0.0)
-        nn.backward(loss)
-        assert np.array_equal(w.grad, np.zeros((3, 3)))
-        assert np.array_equal(v.grad, np.zeros(3))
+        key = nn.leaf(rng.normal(size=3))
+        logits = nn.output_logits(w, wk, v, [key])
+        nn.backward(nn.scale(nn.masked_log_prob(logits, np.arange(4), 1), 0.0))
+        for t in (w, wk, v, key):
+            assert np.array_equal(t.grad, np.zeros_like(t.data))
 
     def test_two_path_accumulation(self):
         rng = rng_of(1)
         w = nn.leaf(rng.normal(size=(2, 3)))
+        wk = nn.leaf(rng.normal(size=(3, 3)))
         v = nn.leaf(rng.normal(size=3))
         valid = np.array([0, 1])
-        loss = nn.masked_log_prob(nn.addn([nn.matvec(w, v), nn.matvec(w, v)]), valid, 0)
-        nn.backward(loss)
+        logits = nn.addn([nn.output_logits(w, wk, v, []), nn.output_logits(w, wk, v, [])])
+        nn.backward(nn.masked_log_prob(logits, valid, 0))
         # logits 2 W v, so dW = 2 outer(g, v) and dv = 2 W^T g with
-        # g = onehot(0) - softmax(2 W v)
+        # g = onehot(0) - softmax(2 W v); without keys W_key gets nothing
         g = -np.exp(nn.log_probs_over(2 * w.data @ v.data, valid))
         g[0] += 1.0
         assert np.allclose(w.grad, 2 * np.outer(g, v.data), atol=1e-15)
         assert np.allclose(v.grad, 2 * w.data.T @ g, atol=1e-15)
+        assert wk.grad is None
 
     def test_reused_tensor_through_gru_chain(self):
         rng = rng_of(2)
@@ -260,16 +262,33 @@ class TestBackward:
         tensors = [ap.w_score, ap.w_combine, u, enc]
         fd_check(lambda: nn.masked_log_prob(nn.attention(ap, u, enc), np.arange(4), 2), tensors)
 
-    def test_var_logits_gradients(self):
+    def test_output_logits_gradients(self):
+        # static logits W_out a, then key_i . (W_key a); the loss picks a
+        # static id, then a variable id, so both halves carry the choice
         rng = rng_of(4)
+        w = nn.leaf(rng.normal(size=(5, 4)))
         wk = nn.leaf(rng.normal(size=(4, 4)))
         a = nn.leaf(rng.normal(size=4))
         keys = [nn.leaf(rng.normal(size=4)) for _ in range(3)]
+        logits = nn.output_logits(w, wk, a, keys).data
+        kmat = np.stack([k.data for k in keys])
+        want = np.concatenate([w.data @ a.data, kmat @ (wk.data @ a.data)])
+        assert logits.tobytes() == want.tobytes()
+        valid = np.array([0, 2, 3, 5, 6, 7])
+        for chosen in (2, 6):
+            fd_check(lambda: nn.masked_log_prob(nn.output_logits(w, wk, a, keys), valid, chosen),
+                     [w, wk, a] + keys)
 
-        def loss_fn():
-            return nn.masked_log_prob(nn.var_logits(wk, a, keys), np.array([0, 1, 2]), 1)
-
-        fd_check(loss_fn, [wk, a] + keys)
+    def test_output_logits_without_keys(self):
+        rng = rng_of(7)
+        w = nn.leaf(rng.normal(size=(4, 3)))
+        wk = nn.leaf(rng.normal(size=(3, 3)))
+        a = nn.leaf(rng.normal(size=3))
+        logits = nn.output_logits(w, wk, a, [])
+        assert logits.data.tobytes() == (w.data @ a.data).tobytes()
+        fd_check(lambda: nn.masked_log_prob(nn.output_logits(w, wk, a, []), np.arange(4), 1),
+                 [w, wk, a])
+        assert wk.grad is None
 
     def test_masked_log_prob_gradients(self):
         rng = rng_of(5)
@@ -296,15 +315,6 @@ class TestBackward:
         with pytest.raises(ValueError):
             nn.backward(nn.leaf(np.zeros(3)))
 
-    def test_no_grad_suppresses_tape(self):
-        w = nn.leaf(np.ones((2, 2)))
-        v = nn.leaf(np.ones(2))
-        with nn.no_grad():
-            out = nn.matvec(w, v)
-        assert out._bw is None and out._prev == ()
-        nn.backward(nn.masked_log_prob(nn.matvec(w, v), np.arange(2), 0))
-        assert w.grad is not None
-
 
 class TestGradCheck:
     """programmer.grad_check: finite differences on the programmer's own
@@ -323,14 +333,14 @@ class TestGradCheck:
             pg.grad_check(objective="nonsense")
 
     def test_detached_memory_keys_are_caught(self, monkeypatch):
-        # the replay looks var_logits up at call time, so cutting the
+        # the replay looks output_logits up at call time, so cutting the
         # gradient into the memory keys there must show in the check
-        original = nn.var_logits
+        original = nn.output_logits
 
-        def detached(w_key, a, keys):
-            return original(w_key, a, [nn.leaf(k.data) for k in keys])
+        def detached(w_out, w_key, a, keys):
+            return original(w_out, w_key, a, [nn.leaf(k.data) for k in keys])
 
-        monkeypatch.setattr(nn, "var_logits", detached)
+        monkeypatch.setattr(nn, "output_logits", detached)
         for objective in ("likelihood", "policy"):
             err = pg.grad_check(seed=0, objective=objective, embed_dim=4, hidden=5)
             assert err > 1e-4, (objective, err)

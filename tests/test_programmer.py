@@ -56,6 +56,9 @@ class TestQAItem:
             item_of(spans=(((3, 3), "abe"),))
         with pytest.raises(ValueError):
             pg.QAItem("q", ("a", "b", "c"), (((0, 2), "x"), ((1, 3), "y")), ("a",))
+        for bounds in ((2.0, 4), (2, 4.0), (True, 4), (2, np.int64(4))):
+            with pytest.raises(ValueError, match="integers"):
+                item_of(spans=((bounds, "abe"),))
 
     @pytest.mark.parametrize("token", ["", " ", "a b", "a\tb", "b\n"],
                              ids=["empty", "space", "inner-space", "tab", "newline"])
@@ -340,6 +343,13 @@ class TestProgramLogprob:
             pg.program_logprob(model, kb, item, ("RETURN", "RETURN"))
 
 
+class TestBuildModel:
+    @pytest.mark.parametrize("dims", [(0, 8), (6, 0), (-1, 8)])
+    def test_dims_below_one_rejected(self, dims):
+        with pytest.raises(ValueError, match="at least 1"):
+            pg.build_model(kb_of(), [item_of()], embed_dim=dims[0], hidden_dim=dims[1])
+
+
 class TestCheckpointing:
     def test_round_trip_preserves_behavior(self, tmp_path):
         kb = kb_of()
@@ -363,9 +373,19 @@ class TestCheckpointing:
             nn.save_checkpoint(path, list(arrays.items()), {k: v for k, v in meta.items() if k != key})
             with pytest.raises(ValueError, match=key):
                 pg.load_model(path)
-        nn.save_checkpoint(path, list(arrays.items()), {**meta, "word_vocab": 7})
-        with pytest.raises(ValueError, match="malformed"):
-            pg.load_model(path)
+        bad = [
+            ("word_vocab", 7, "malformed"),
+            ("word_vocab", "abc", "malformed"),
+            ("word_vocab", meta["word_vocab"][:-1] + [3], "malformed"),
+            ("word_vocab", meta["word_vocab"][:-1] + meta["word_vocab"][-2:-1], "malformed"),
+            ("static_tokens", None, "malformed"),
+            ("word_vocab", meta["word_vocab"] + ["x1", "x2", "x3", "x4", "x5"], "entries"),
+            ("static_tokens", meta["static_tokens"][:-1], "entries"),
+        ]
+        for key, value, message in bad:
+            nn.save_checkpoint(path, list(arrays.items()), {**meta, key: value})
+            with pytest.raises(ValueError, match=f"{key}.*{message}"):
+                pg.load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
         model = tiny_model()

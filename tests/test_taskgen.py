@@ -176,7 +176,9 @@ class TestDatasetFiles:
                 "answers": [["entity", "y"]]}
         for line in ["not json", "[1]", json.dumps({**good, "question": 5}),
                      json.dumps({**good, "id": 5}),
-                     json.dumps({**good, "entities": [{"start": 0, "end": 1, "id": 5}]})]:
+                     json.dumps({**good, "entities": [{"start": 0, "end": 1, "id": 5}]}),
+                     json.dumps({**good, "entities": [{"start": 0.0, "end": 1.0, "id": "x"}]}),
+                     json.dumps({**good, "entities": [{"start": 0, "end": True, "id": "x"}]})]:
             path.write_text(line + "\n")
             with pytest.raises(taskgen.DatasetError, match="bad.jsonl:1"):
                 taskgen.load_dataset(path)

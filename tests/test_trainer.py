@@ -103,6 +103,8 @@ class TestTrainConfig:
         {"alpha": -0.1},
         {"ml_iterations": 0},
         {"baseline_decay": 2.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -249,11 +251,9 @@ class TestIterativeMl:
         item = one_hop_item()
         model = build_model(kb, [item], 4, 6)
         target = ("(", "Hop", "R0", "PlaceOfBirthOf", ")", "RETURN")
-        with nn.no_grad():
-            before = float(program_logprob(model, kb, item, target).data)
+        before = float(program_logprob(model, kb, item, target).data)
         tr.iterative_ml(model, kb, [item], self.config())
-        with nn.no_grad():
-            after = float(program_logprob(model, kb, item, target).data)
+        after = float(program_logprob(model, kb, item, target).data)
         assert after > before
 
     def test_store_rewards_monotone_in_log(self):
