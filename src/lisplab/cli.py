@@ -87,14 +87,15 @@ def _initial_vars(pairs) -> list:
     return [(slots[i],) for i in range(len(slots))]
 
 
-def _load_model(path, kb) -> programmer.Model:
-    """Load a checkpoint, refusing one trained on another property set:
-    its token ids would not line up with the KB's properties."""
-    model = programmer.load_model(path)
+def _load_model(path, kb) -> tuple[programmer.Model, int]:
+    """Load a checkpoint and its expression budget, refusing one trained
+    on another property set: its token ids would not line up with the
+    KB's properties."""
+    model, max_expressions = programmer.load_model(path)
     if programmer.static_token_list(kb) != model.static_tokens:
         raise ValueError(f"{path}: checkpoint was trained on a different property set "
                          "than the knowledge base")
-    return model
+    return model, max_expressions
 
 
 def _print_denotation(denotation) -> None:
@@ -147,13 +148,13 @@ def _cmd_assist(args) -> int:
 
 def _cmd_parse(args) -> int:
     kb = kbmod.load_kb(args.kb)
-    model = _load_model(args.checkpoint, kb)
+    model, max_expressions = _load_model(args.checkpoint, kb)
     tokens = tuple(args.question.split())
     entities = tuple(kbmod.resolve_entities(kb, list(tokens)))
     if not entities:
         raise ValueError("no knowledge-base entity mentioned in the question")
     item = programmer.QAItem(qid="cli", tokens=tokens, entities=entities, answers=())
-    best = programmer.greedy_decode(model, kb, item)
+    best = programmer.greedy_decode(model, kb, item, max_expressions)
     print(" ".join(best.tokens))
     _print_denotation(best.denotation)
     return 0
@@ -178,15 +179,15 @@ def _cmd_train(args) -> int:
 
     print(json.dumps({"config": cfg}, sort_keys=True), flush=True)
     trainer.train(model, kb, train_items, dev_items, config, log)
-    programmer.save_model(args.out_checkpoint, model)
+    programmer.save_model(args.out_checkpoint, model, config.max_expressions)
     return 0
 
 
 def _cmd_eval(args) -> int:
     kb = kbmod.load_kb(args.kb)
-    model = _load_model(args.checkpoint, kb)
+    model, max_expressions = _load_model(args.checkpoint, kb)
     items = taskgen.load_dataset(args.test)
-    metrics = trainer.evaluate(model, kb, items)
+    metrics = trainer.evaluate(model, kb, items, max_expressions)
     print(json.dumps(dataclasses.asdict(metrics), sort_keys=True))
     return 0
 

@@ -241,22 +241,3 @@ def run_program_text(
     program = parse_program(text, len(initial_vars), max_expressions)
     return execute_program(kb, program, initial_vars)
 
-
-def denotation_or_empty(
-    kb: KnowledgeBase,
-    tokens: str | list[str],
-    initial_vars: list[EntitySet],
-    max_expressions: int = MAX_EXPRESSIONS,
-) -> EntitySet:
-    """Like run_program_text but failures denote the empty set.
-
-    For scoring token streams that may not parse or run: a malformed or
-    broken program denotes nothing rather than raising. Training does not
-    come through here; it rewards the denotation the assist state
-    computed while the program was decoded.
-    """
-    try:
-        program = parse_program(tokens, len(initial_vars), max_expressions)
-        return execute_program(kb, program, initial_vars)
-    except ProgramError:
-        return ()

@@ -176,7 +176,7 @@ class KnowledgeBase:
 
         fwd: dict[tuple[EntityId, PropertyId], set[Value]] = {}
         subj_props: dict[EntityId, set[PropertyId]] = {}
-        for subject, prop, obj in sorted(tset, key=lambda t: (t[0], t[1], _sort_key(t[2]))):
+        for subject, prop, obj in tset:
             fwd.setdefault((subject, prop), set()).add(obj)
             subj_props.setdefault(subject, set()).add(prop)
         self._fwd: dict[tuple[EntityId, PropertyId], EntitySet] = {

@@ -134,24 +134,32 @@ def build_model(
     return Model(word_vocab, static_tokens, params)
 
 
-def save_model(path, model: Model) -> None:
+def save_model(path, model: Model, max_expressions: int) -> None:
+    """Write the model with the expression budget it was trained to
+    decode under, which decoding from the checkpoint must use too."""
     meta = {
         "embed_dim": model.params.embed_dim,
         "hidden_dim": model.params.hidden_dim,
+        "max_expressions": max_expressions,
         "word_vocab": model.word_vocab,
         "static_tokens": model.static_tokens,
     }
     nn.save_checkpoint(path, nn.params_to_arrays(model.params), meta)
 
 
-def load_model(path) -> Model:
+def load_model(path) -> tuple[Model, int]:
+    """The model and its recorded expression budget."""
     meta, arrays = nn.load_checkpoint(path)
     params = nn.params_from_arrays(arrays)
     try:
         vocabs = (meta["word_vocab"], meta["static_tokens"])
         dims = (meta["embed_dim"], meta["hidden_dim"])
+        max_expressions = meta["max_expressions"]
     except KeyError as exc:
         raise ValueError(f"checkpoint meta is missing {exc}") from None
+    if type(max_expressions) is not int or max_expressions < 1:
+        raise ValueError("checkpoint meta max_expressions is malformed: "
+                         f"{max_expressions!r} is not a positive int")
     for name, vocab, table in zip(("word_vocab", "static_tokens"), vocabs,
                                   (params.word_emb, params.token_emb)):
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
@@ -163,7 +171,7 @@ def load_model(path) -> Model:
                              f"for {table.data.shape[0]} embedding rows")
     if dims != (params.embed_dim, params.hidden_dim):
         raise ValueError("checkpoint dims inconsistent with stored tensors")
-    return Model(*vocabs, params)
+    return Model(*vocabs, params), max_expressions
 
 
 # ---------------------------------------------------------------------------

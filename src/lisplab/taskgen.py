@@ -337,6 +337,8 @@ DEFAULT_TEMPLATES = (
     Template("filter", _sample_filter),
 )
 
+ATTEMPTS_PER_ITEM = 500  # failed draws in a row before a template counts as exhausted
+
 
 def _check_realizable(kb: KnowledgeBase, inst: Instantiation) -> None:
     initial = [(eid,) for _, eid in inst.entities]
@@ -352,7 +354,6 @@ def draw_instantiations(
     templates,
     rng: np.random.Generator,
     total: int,
-    attempts_per_item: int = 500,
 ) -> list[Instantiation]:
     """Round-robin over templates; distinct keys; non-empty executed answers."""
     drawn: list[Instantiation] = []
@@ -367,7 +368,7 @@ def draw_instantiations(
                 f"ran out of distinct instantiations after {len(drawn)} of {total} items"
             )
         template = active[slot % len(active)]
-        for _ in range(attempts_per_item):
+        for _ in range(ATTEMPTS_PER_ITEM):
             inst = template.sampler(kb, rng, entities)
             if inst is None or not inst.answers or inst.key in seen:
                 continue

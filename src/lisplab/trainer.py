@@ -9,6 +9,10 @@ Two phases over question/answer pairs (no gold programs):
    with probability alpha per slot, and follow (R - baseline) * grad log p
    with a per-question exponentially decayed baseline.
 
+Both phases update through ``_ascend``, one step per question: ascent on
+sum_i w_i * log p(program_i), with w = 1 for the stored program (phase 1)
+or reward - baseline for each slot (phase 2).
+
 Everything is single-threaded and processes questions in dataset order,
 so a fixed seed reproduces runs bitwise.
 """
@@ -31,7 +35,6 @@ from .programmer import Model, QAItem, beam_search, greedy_decode, program_logpr
 class RewardedProgram:
     tokens: tuple[str, ...]
     reward: float
-    logprob: float  # at discovery time; informational only
 
 
 def _store_rank(rp: RewardedProgram):
@@ -101,7 +104,7 @@ class TrainConfig:
 GRAD_CLIP_NORM = 5.0
 
 
-def sgd_step(params: nn.ModelParams, learning_rate: float, clip: float = GRAD_CLIP_NORM) -> float:
+def sgd_step(params: nn.ModelParams, learning_rate: float) -> float:
     """Gradient ascent with global norm clipping; returns the raw norm."""
     pairs = [(t, t.grad) for _, t in params.named_tensors() if t.grad is not None]
     if not pairs:
@@ -109,7 +112,7 @@ def sgd_step(params: nn.ModelParams, learning_rate: float, clip: float = GRAD_CL
     norm = float(np.sqrt(sum(float((g * g).sum()) for _, g in pairs)))
     if norm == 0.0:
         return 0.0
-    scale = 1.0 if norm <= clip else clip / norm
+    scale = 1.0 if norm <= GRAD_CLIP_NORM else GRAD_CLIP_NORM / norm
     for tensor, grad in pairs:
         tensor.data += learning_rate * scale * grad
     return norm
@@ -170,19 +173,28 @@ def _search_and_merge(model, kb, items, store, config) -> float:
             _, _, r = answer_f1(cand.denotation, item.answers)
             best = max(best, r)
             if r > 0.0:
-                store.merge(item.qid, RewardedProgram(cand.tokens, r, cand.logprob))
+                store.merge(item.qid, RewardedProgram(cand.tokens, r))
         best_rewards.append(best)
     return sum(best_rewards) / len(best_rewards)
+
+
+def _ascend(model, kb, item, programs, config) -> None:
+    """One SGD step on sum(weight * log p(tokens)) over (tokens, weight) pairs
+    for one question, each nonzero pair back-propagated on its own, in order."""
+    live = [(tokens, weight) for tokens, weight in programs if weight != 0.0]
+    model.params.zero_grad()
+    for tokens, weight in live:
+        logprob = program_logprob(model, kb, item, tokens, config.max_expressions)
+        nn.backward(nn.scale(logprob, weight))
+    if live:
+        sgd_step(model.params, config.learning_rate)
 
 
 def _likelihood_epoch(model, kb, items, store, config) -> None:
     for item in items:
         rp = store.get(item.qid)
-        if rp is None:
-            continue
-        model.params.zero_grad()
-        nn.backward(program_logprob(model, kb, item, rp.tokens, config.max_expressions))
-        sgd_step(model.params, config.learning_rate)
+        if rp is not None:
+            _ascend(model, kb, item, [(rp.tokens, 1.0)], config)
 
 
 def iterative_ml(
@@ -222,24 +234,13 @@ def _reinforce_question(model, kb, item, store, config, rng, baselines) -> float
     )
     sampled_rewards = [answer_f1(c.denotation, item.answers)[2] for c in samples]
     rp = store.get(item.qid)
-    slots: list[tuple[tuple[str, ...], float]] = []
+    baseline = baselines.get(item.qid, 0.0)
+    slots = []
     for cand, r in zip(samples, sampled_rewards):
         if rp is not None and rng.random() < config.alpha:
-            slots.append((rp.tokens, rp.reward))
-        else:
-            slots.append((cand.tokens, r))
-    baseline = baselines.get(item.qid, 0.0)
-    model.params.zero_grad()
-    any_grad = False
-    for tokens, r in slots:
-        advantage = r - baseline
-        if advantage == 0.0:
-            continue
-        logprob = program_logprob(model, kb, item, tokens, config.max_expressions)
-        nn.backward(nn.scale(logprob, advantage))
-        any_grad = True
-    if any_grad:
-        sgd_step(model.params, config.learning_rate)
+            cand, r = rp, rp.reward
+        slots.append((cand.tokens, r - baseline))
+    _ascend(model, kb, item, slots, config)
     mean_sampled = sum(sampled_rewards) / len(sampled_rewards)
     baselines[item.qid] = (
         config.baseline_decay * baseline + (1.0 - config.baseline_decay) * mean_sampled
@@ -253,16 +254,14 @@ def augmented_reinforce(
     items: list[QAItem],
     store: PseudoGoldStore,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     dev_items: list[QAItem] = (),
     log: Callable[[dict], None] | None = None,
-    iteration_offset: int = 0,
 ) -> dict[str, float]:
-    """Policy gradient with pseudo-gold mixing; returns final baselines."""
+    """Policy gradient with pseudo-gold mixing, logged as iterations
+    ml_iterations + 1, ...; returns final baselines."""
     if not items:
         raise ValueError("empty training set")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     baselines: dict[str, float] = {}
     for epoch in range(1, config.reinforce_epochs + 1):
         epoch_rewards = []
@@ -271,8 +270,8 @@ def augmented_reinforce(
                 _reinforce_question(model, kb, item, store, config, rng, baselines)
             )
         if log is not None:
-            log(_log_record(model, kb, items, dev_items, store, config, iteration_offset + epoch,
-                            sum(epoch_rewards) / len(epoch_rewards)))
+            log(_log_record(model, kb, items, dev_items, store, config,
+                            config.ml_iterations + epoch, sum(epoch_rewards) / len(epoch_rewards)))
     return baselines
 
 
@@ -300,6 +299,5 @@ def train(
         rng=np.random.default_rng(config.seed),
         dev_items=dev_items,
         log=keep,
-        iteration_offset=config.ml_iterations,
     )
     return store, records

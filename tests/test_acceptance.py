@@ -19,7 +19,6 @@ from lisplab import cli, nnkernel as nn, programmer, taskgen, trainer
 from lisplab.assist import DecodingState, random_rollout
 from lisplab.interpreter import (
     ProgramError,
-    denotation_or_empty,
     execute_program,
     parse_program,
 )
@@ -184,7 +183,7 @@ def test_criterion_06_reinforce_estimator():
         grad = flat_grad(model.params)
         prob = float(np.exp(logprob.data))
         _, _, reward = answer_f1(
-            denotation_or_empty(kb, list(tokens), [("e0",)], 1), ("a",)
+            execute_program(kb, parse_program(list(tokens), 1, 1), [("e0",)]), ("a",)
         )
         per_program[tokens] = reward * grad
         total_p += prob

@@ -276,6 +276,25 @@ class TestEvalParse:
         assert lines[0].endswith("RETURN")
         assert len(lines) >= 1
 
+    def test_decode_budget_comes_from_checkpoint(self, bench, tmp_path, capsys):
+        config = tmp_path / "one.cfg"
+        config.write_text(
+            "max_expressions = 1\nbeam_size = 8\nml_iterations = 2\n"
+            "epochs_per_iteration = 2\nreinforce_epochs = 0\n",
+            encoding="utf-8",
+        )
+        ckpt = tmp_path / "one.ckpt"
+        last = json.loads(train_subprocess(bench, ckpt, config).splitlines()[-1])
+        rc = run_cli(["eval", "--kb", bench["kb"], "--test", bench["dev"],
+                      "--checkpoint", str(ckpt)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["avg_f1"] == last["dev_f1"]
+        for item in taskgen.load_dataset(bench["dev"]):
+            rc = run_cli(["parse", "--kb", bench["kb"], "--question", " ".join(item.tokens),
+                          "--checkpoint", str(ckpt)])
+            assert rc == 0
+            assert capsys.readouterr().out.splitlines()[0].split().count("(") <= 1
+
     def test_parse_without_entity_exit_1(self, trained, bench, capsys):
         rc = run_cli(["parse", "--kb", bench["kb"], "--question", "what is this",
                       "--checkpoint", str(trained["ckpt"])])

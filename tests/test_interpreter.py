@@ -10,7 +10,6 @@ from lisplab.interpreter import (
     ParseError,
     ProgramError,
     apply_function,
-    denotation_or_empty,
     execute_program,
     parse_program,
     run_program_text,
@@ -219,12 +218,6 @@ class TestExecuteProgram:
         before = set(kb.triples)
         run_program_text(kb, "( Hop R0 p ) RETURN", [("a",)])
         assert set(kb.triples) == before
-
-    def test_denotation_or_empty_swallows_failures(self):
-        kb = kb_of(("a", "p", "b"))
-        assert denotation_or_empty(kb, "grumble", [("a",)]) == ()
-        assert denotation_or_empty(kb, "( Hop R0 nope ) RETURN", [("a",)]) == ()
-        assert denotation_or_empty(kb, "( Hop R0 p ) RETURN", [("a",)]) == ("b",)
 
     def test_deterministic(self):
         kb = kb_of(("a", "p", "b"), ("a", "p", "c"))

@@ -357,8 +357,9 @@ class TestCheckpointing:
         item = item_of()
         before = pg.beam_search(model, kb, item, 4)
         path = tmp_path / "model.ckpt"
-        pg.save_model(path, model)
-        reloaded = pg.load_model(path)
+        pg.save_model(path, model, 2)
+        reloaded, max_expressions = pg.load_model(path)
+        assert max_expressions == 2
         assert reloaded.word_vocab == model.word_vocab
         assert reloaded.static_tokens == model.static_tokens
         after = pg.beam_search(reloaded, kb, item, 4)
@@ -367,8 +368,9 @@ class TestCheckpointing:
     def test_missing_or_malformed_meta_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "model.ckpt"
-        pg.save_model(path, model)
+        pg.save_model(path, model, 3)
         meta, arrays = nn.load_checkpoint(path)
+        assert "max_expressions" in meta
         for key in meta:
             nn.save_checkpoint(path, list(arrays.items()), {k: v for k, v in meta.items() if k != key})
             with pytest.raises(ValueError, match=key):
@@ -381,6 +383,10 @@ class TestCheckpointing:
             ("static_tokens", None, "malformed"),
             ("word_vocab", meta["word_vocab"] + ["x1", "x2", "x3", "x4", "x5"], "entries"),
             ("static_tokens", meta["static_tokens"][:-1], "entries"),
+            ("max_expressions", 0, "malformed"),
+            ("max_expressions", "3", "malformed"),
+            ("max_expressions", True, "malformed"),
+            ("max_expressions", 3.0, "malformed"),
         ]
         for key, value, message in bad:
             nn.save_checkpoint(path, list(arrays.items()), {**meta, key: value})
@@ -389,6 +395,6 @@ class TestCheckpointing:
 
     def test_save_is_deterministic(self, tmp_path):
         model = tiny_model()
-        pg.save_model(tmp_path / "a.ckpt", model)
-        pg.save_model(tmp_path / "b.ckpt", model)
+        pg.save_model(tmp_path / "a.ckpt", model, 3)
+        pg.save_model(tmp_path / "b.ckpt", model, 3)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

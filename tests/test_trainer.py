@@ -48,15 +48,15 @@ class TestRewardF1:
 class TestPseudoGoldStore:
     def test_max_merge_on_reward(self):
         store = tr.PseudoGoldStore()
-        assert store.merge("q", tr.RewardedProgram(("RETURN",), 0.5, -1.0))
-        assert not store.merge("q", tr.RewardedProgram(("RETURN",), 0.4, -0.5))
-        assert store.merge("q", tr.RewardedProgram(("RETURN",), 0.9, -2.0))
+        assert store.merge("q", tr.RewardedProgram(("RETURN",), 0.5))
+        assert not store.merge("q", tr.RewardedProgram(("RETURN",), 0.4))
+        assert store.merge("q", tr.RewardedProgram(("RETURN",), 0.9))
         assert store.get("q").reward == 0.9
 
     def test_shorter_wins_ties(self):
         store = tr.PseudoGoldStore()
-        long = tr.RewardedProgram(("(", "Hop", "R0", "p", ")", "RETURN"), 1.0, -1.0)
-        short = tr.RewardedProgram(("RETURN",), 1.0, -1.0)
+        long = tr.RewardedProgram(("(", "Hop", "R0", "p", ")", "RETURN"), 1.0)
+        short = tr.RewardedProgram(("RETURN",), 1.0)
         store.merge("q", long)
         assert store.merge("q", short)
         assert store.get("q") is short
@@ -64,24 +64,24 @@ class TestPseudoGoldStore:
 
     def test_lexicographic_last_resort(self):
         store = tr.PseudoGoldStore()
-        b = tr.RewardedProgram(("(", "Hop", "R0", "b", ")", "RETURN"), 1.0, -1.0)
-        a = tr.RewardedProgram(("(", "Hop", "R0", "a", ")", "RETURN"), 1.0, -1.0)
+        b = tr.RewardedProgram(("(", "Hop", "R0", "b", ")", "RETURN"), 1.0)
+        a = tr.RewardedProgram(("(", "Hop", "R0", "a", ")", "RETURN"), 1.0)
         store.merge("q", b)
         assert store.merge("q", a)
         assert not store.merge("q", b)
 
     def test_coverage_counts_full_reward_only(self):
         store = tr.PseudoGoldStore()
-        store.merge("q1", tr.RewardedProgram(("RETURN",), 1.0, 0.0))
-        store.merge("q2", tr.RewardedProgram(("RETURN",), 0.5, 0.0))
+        store.merge("q1", tr.RewardedProgram(("RETURN",), 1.0))
+        store.merge("q2", tr.RewardedProgram(("RETURN",), 0.5))
         assert store.coverage(["q1", "q2", "q3"]) == pytest.approx(1 / 3)
         assert store.coverage([]) == 0.0
         assert len(store) == 2
 
     def test_rewards_sorted_by_qid(self):
         store = tr.PseudoGoldStore()
-        store.merge("b", tr.RewardedProgram(("RETURN",), 0.5, 0.0))
-        store.merge("a", tr.RewardedProgram(("RETURN",), 1.0, 0.0))
+        store.merge("b", tr.RewardedProgram(("RETURN",), 0.5))
+        store.merge("a", tr.RewardedProgram(("RETURN",), 1.0))
         assert list(store.rewards()) == ["a", "b"]
 
 
@@ -295,7 +295,7 @@ class TestAugmentedReinforce:
         model = build_model(kb, [item], 4, 6)
         gold = ("(", "Hop", "R0", "PlaceOfBirthOf", ")", "RETURN")
         store = tr.PseudoGoldStore()
-        store.merge("q0", tr.RewardedProgram(gold, 1.0, -1.0))
+        store.merge("q0", tr.RewardedProgram(gold, 1.0))
         config = self.config(alpha=1.0)
 
         reference = copy.deepcopy(model)
@@ -341,6 +341,16 @@ class TestAugmentedReinforce:
         assert set(baselines) == {"q0"}
         assert 0.0 <= baselines["q0"] <= 0.5  # decay 0.5 from 0 in one step
 
+    def test_log_numbers_on_from_ml_iterations(self):
+        kb = KnowledgeBase(ONE_TRIPLE)
+        item = one_hop_item()
+        model = build_model(kb, [item], 4, 6)
+        log = []
+        tr.augmented_reinforce(model, kb, [item], tr.PseudoGoldStore(),
+                               self.config(ml_iterations=4, reinforce_epochs=3),
+                               rng=np.random.default_rng(3), log=log.append)
+        assert [line["iteration"] for line in log] == [5, 6, 7]
+
     def test_seeded_runs_identical(self):
         kb = KnowledgeBase(ONE_TRIPLE)
         item = one_hop_item()
@@ -349,7 +359,7 @@ class TestAugmentedReinforce:
             model = build_model(kb, [item], 4, 6, seed=3)
             store = tr.PseudoGoldStore()
             store.merge("q0", tr.RewardedProgram(
-                ("(", "Hop", "R0", "PlaceOfBirthOf", ")", "RETURN"), 1.0, -1.0))
+                ("(", "Hop", "R0", "PlaceOfBirthOf", ")", "RETURN"), 1.0))
             tr.augmented_reinforce(model, kb, [item], store,
                                    self.config(reinforce_epochs=2),
                                    rng=np.random.default_rng(7))
