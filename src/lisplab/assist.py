@@ -18,8 +18,6 @@ variables.
 
 from __future__ import annotations
 
-import random
-
 from .interpreter import (
     CLOSE,
     FUNCS,
@@ -27,12 +25,16 @@ from .interpreter import (
     OPEN,
     RETURN,
     SIGNATURES,
-    Program,
     apply_function,
-    parse_program,
     slot_properties,
 )
-from .kb import EntitySet, KnowledgeBase, canon
+from .kb import EntitySet, KnowledgeBase
+
+
+_NONE = frozenset()
+_RETURN_ONLY = frozenset({RETURN})
+_OPEN_OR_RETURN = frozenset({OPEN, RETURN})
+_CLOSE_ONLY = frozenset({CLOSE})
 
 
 class AssistError(Exception):
@@ -65,37 +67,18 @@ class DecodingState:
     ):
         self.kb = kb
         self.max_expressions = max_expressions
-        self.var_values: tuple[EntitySet, ...] = tuple(canon(v) for v in initial_vars)
+        self.var_values: tuple[EntitySet, ...] = tuple(kb.canon(v) for v in initial_vars)
         self.n_expressions = 0
         self.buffer: tuple[str, ...] = ()
         self.emitted: tuple[str, ...] = ()
         self.terminated = False
         self._valid: frozenset[str] | None = None
 
-    def _child(self) -> "DecodingState":
-        new = object.__new__(DecodingState)
-        new.kb = self.kb
-        new.max_expressions = self.max_expressions
-        new.var_values = self.var_values
-        new.n_expressions = self.n_expressions
-        new.buffer = self.buffer
-        new.emitted = self.emitted
-        new.terminated = self.terminated
-        new._valid = None
-        return new
-
     def denotation(self) -> EntitySet:
         """Value of the last variable an expression created; () before any."""
         if self.n_expressions == 0:
             return ()
         return self.var_values[-1]
-
-    def program(self) -> Program:
-        """The terminated program this state spells out."""
-        if not self.terminated:
-            raise AssistError("state not terminated")
-        return parse_program(list(self.emitted), len(self.var_values) - self.n_expressions,
-                             self.max_expressions)
 
     # -- the oracle -------------------------------------------------------
 
@@ -111,7 +94,7 @@ class DecodingState:
 
     def _compute_valid(self) -> frozenset[str]:
         if self.terminated:
-            return frozenset()
+            return _NONE
         buf = self.buffer
         if not buf:
             # expression boundary: RETURN always, OPEN while the budget
@@ -119,8 +102,8 @@ class DecodingState:
             if self.n_expressions < self.max_expressions:
                 live = [v for v in self.var_values if v]
                 if any(self._fillable(f, [], live) for f in FUNCS):
-                    return frozenset({OPEN, RETURN})
-            return frozenset({RETURN})
+                    return _OPEN_OR_RETURN
+            return _RETURN_ONLY
         if len(buf) == 1:
             live = [v for v in self.var_values if v]
             return frozenset(f for f in FUNCS if self._fillable(f, [], live))
@@ -128,7 +111,7 @@ class DecodingState:
         slots = SIGNATURES[func]
         n_filled = len(buf) - 2
         if n_filled == len(slots):
-            return frozenset({CLOSE})
+            return _CLOSE_ONLY
         chosen = [self.var_values[int(t[1:])] for t in buf[2:]]
         if slots[n_filled] == "prop":
             return slot_properties(self.kb, func, chosen)
@@ -145,26 +128,28 @@ class DecodingState:
 
     def feed(self, token: str) -> "DecodingState":
         """Advance by one token; the token must be valid here."""
-        if token not in self.valid_tokens():
+        valid = self._valid
+        if valid is None:
+            valid = self.valid_tokens()
+        if token not in valid:
             raise AssistError(f"token {token!r} invalid after {' '.join(self.emitted)!r}")
-        new = self._child()
+        new = object.__new__(DecodingState)
+        new.kb = self.kb
+        new.max_expressions = self.max_expressions
         new.emitted = self.emitted + (token,)
-        if token == RETURN:
-            new.terminated = True
-            return new
-        buf = self.buffer + (token,)
+        new.terminated = token == RETURN
+        new._valid = None
         if token == CLOSE:
-            func = buf[1]
-            args = buf[2:-1]
-            arg_values: list = []
-            for kind, tok in zip(SIGNATURES[func], args):
-                arg_values.append(self.var_values[int(tok[1:])] if kind == "var" else tok)
-            result = apply_function(self.kb, func, list(arg_values))
-            new.var_values = self.var_values + (result,)
+            buf = self.buffer
+            arg_values = [self.var_values[int(tok[1:])] if kind == "var" else tok
+                          for kind, tok in zip(SIGNATURES[buf[1]], buf[2:])]
+            new.var_values = self.var_values + (apply_function(self.kb, buf[1], arg_values),)
             new.n_expressions = self.n_expressions + 1
             new.buffer = ()
         else:
-            new.buffer = buf
+            new.var_values = self.var_values
+            new.n_expressions = self.n_expressions
+            new.buffer = self.buffer if new.terminated else self.buffer + (token,)
         return new
 
     def feed_all(self, tokens: list[str] | tuple[str, ...]) -> "DecodingState":
@@ -173,21 +158,3 @@ class DecodingState:
             state = state.feed(token)
         return state
 
-
-def random_rollout(
-    kb: KnowledgeBase,
-    initial_vars: list[EntitySet],
-    rng_seed: int | random.Random,
-    max_expressions: int = MAX_EXPRESSIONS,
-) -> Program:
-    """Sample a program by picking uniformly among valid tokens until RETURN.
-
-    Always terminates: RETURN is forced once the expression budget is
-    spent, and every intermediate state offers at least one token.
-    """
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
-    state = DecodingState(kb, initial_vars, max_expressions)
-    while not state.terminated:
-        choices = sorted(state.valid_tokens())
-        state = state.feed(rng.choice(choices))
-    return state.program()

@@ -89,12 +89,15 @@ def _initial_vars(pairs) -> list:
 
 def _load_model(path, kb) -> tuple[programmer.Model, int]:
     """Load a checkpoint and its expression budget, refusing one trained
-    on another property set: its token ids would not line up with the
-    KB's properties."""
+    on another KB: on another property set its token ids would not line
+    up with the KB's properties, and on other facts it answers wrongly."""
     model, max_expressions = programmer.load_model(path)
     if programmer.static_token_list(kb) != model.static_tokens:
         raise ValueError(f"{path}: checkpoint was trained on a different property set "
                          "than the knowledge base")
+    if model.kb_digest != kb.digest():
+        raise ValueError(f"{path}: checkpoint was trained on a different knowledge base "
+                         f"(digest {model.kb_digest[:12]}, this one {kb.digest()[:12]})")
     return model, max_expressions
 
 

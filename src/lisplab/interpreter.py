@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .kb import EntitySet, KnowledgeBase, UnknownPropertyError, canon, value_kind
+from .kb import EntitySet, KnowledgeBase, UnknownPropertyError, value_kind
 
 FUNCS = ("ArgMax", "ArgMin", "Equal", "Hop")
 
@@ -172,23 +172,16 @@ def apply_function(kb: KnowledgeBase, func: str, arg_values: list) -> EntitySet:
         pick = max if func == "ArgMax" else min
         per_source: dict = {}
         for value in vals:
-            if not isinstance(value, str):
-                continue
-            objs = kb.forward([value], prop)
+            objs = kb.objects(value, prop)
             if objs:
                 per_source[value] = pick(objs)
         best = pick(per_source.values())
-        return canon(e for e, v in per_source.items() if v == best)
+        return kb.canon(e for e, v in per_source.items() if v == best)
     if func == "Equal":
         v1, v2, prop = arg_values
+        kb.forward((), prop)  # rejects an unknown property
         targets = set(v2)
-        kb.forward([], prop)
-        out = [
-            e1
-            for e1 in v1
-            if isinstance(e1, str) and not targets.isdisjoint(kb.forward([e1], prop))
-        ]
-        return canon(out)
+        return kb.canon(e1 for e1 in v1 if not targets.isdisjoint(kb.objects(e1, prop)))
     raise ExecError(f"unknown function {func!r}")
 
 
@@ -212,7 +205,7 @@ def execute_program(
     A program with no expressions denotes the empty set. Unknown
     properties raise ExecError.
     """
-    variables = [canon(values) for values in initial_vars]  # R<i> is variables[i]
+    variables = [kb.canon(values) for values in initial_vars]  # R<i> is variables[i]
     result: EntitySet = ()
     for expr in program.expressions:
         arg_values: list = []
@@ -228,7 +221,7 @@ def execute_program(
             result = apply_function(kb, expr.func, arg_values)
         except UnknownPropertyError as exc:
             raise ExecError(str(exc)) from exc
-        variables.append(canon(result))
+        variables.append(kb.canon(result))
     return result
 
 

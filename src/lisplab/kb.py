@@ -18,6 +18,7 @@ exactly (``repr`` form). Alias surface forms may contain spaces.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -35,6 +36,11 @@ Triple = tuple[EntityId, PropertyId, Value]
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _OBJECT_KINDS = ("entity", "number", "date")
+
+# Entries a KnowledgeBase memo holds before it is cleared. The default
+# 100-entity task stays well below it (about 5,800 entries after training);
+# walking every program over a 1000-entity KB passes it.
+MEMO_LIMIT = 16384
 
 
 class KBError(Exception):
@@ -61,6 +67,7 @@ def value_kind(value: Value) -> str:
 
 
 _KIND_RANK = {"entity": 0, "number": 1, "date": 2}
+_NATIVE_KINDS = frozenset({str, float, datetime.date})
 
 
 def _sort_key(value: Value):
@@ -68,8 +75,24 @@ def _sort_key(value: Value):
 
 
 def canon(values: Iterable[Value]) -> EntitySet:
-    """Deduplicate and order values canonically (set semantics, stable text)."""
-    return tuple(sorted(set(values), key=_sort_key))
+    """Deduplicate and order values canonically (set semantics, stable text).
+
+    Values of one kind sort natively; mixed kinds, and anything that is
+    not a KB value (which raises TypeError), go through ``_sort_key``.
+    """
+    distinct = set(values)
+    kinds = set(map(type, distinct))
+    if len(kinds) < 2 and kinds <= _NATIVE_KINDS:
+        return tuple(sorted(distinct))
+    return tuple(sorted(distinct, key=_sort_key))
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key``, first emptying a full memo."""
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def answer_f1(predicted: EntitySet, gold: EntitySet) -> tuple[float, float, float]:
@@ -141,10 +164,21 @@ def parse_value(text: str, kind: str) -> Value:
 class KnowledgeBase:
     """Triple store with forward and subject-property indices.
 
-    Immutable after construction; all query methods are pure, so a single
-    instance can serve any number of concurrent readers. Query results for
-    repeated value sets are memoized internally (the memo never changes an
-    answer, it only skips recomputation).
+    Immutable after construction; all query methods are pure. Query
+    results are memoized internally: ``forward`` per (set, property) and
+    the three property queries per set. A memo never changes an answer,
+    it only skips recomputation, and none grows without bound: each one,
+    and the table of shared sets below, is emptied when it reaches
+    ``MEMO_LIMIT`` entries and then refills.
+
+    The table of shared sets holds one object per canonical set the KB
+    has seen or returned, and ``forward`` returns those objects. A query
+    skips canonicalising its input only when the input *is* a table
+    object (an identity check). An equal tuple is not enough: ``(1,)``
+    equals ``(1.0,)`` but is no KB value set, so it still goes through
+    ``canon`` and raises TypeError. Sets that hold a float zero are never
+    swapped for an equal table object, since 0.0 and -0.0 are equal but
+    print differently.
     """
 
     def __init__(self, triples: Iterable[Triple], aliases: dict[str, EntityId] | None = None):
@@ -191,39 +225,71 @@ class KnowledgeBase:
         }
         self._alias_max_len = max((len(k) for k in self._alias_tokens), default=0)
 
+        self._shared: dict[EntitySet, EntitySet] = {}
+        self._fwd_cache: dict[tuple[EntitySet, PropertyId], EntitySet] = {}
         self._reach_cache: dict[EntitySet, frozenset[PropertyId]] = {}
         self._comp_cache: dict[EntitySet, frozenset[PropertyId]] = {}
         self._conn_cache: dict[tuple[EntitySet, EntitySet], frozenset[PropertyId]] = {}
+
+    def _share(self, canonical: EntitySet) -> EntitySet:
+        """The shared object equal to the canonical set ``canonical``,
+        which becomes shared itself when there is none."""
+        shared = self._shared.get(canonical)
+        if shared is None:
+            return _remember(self._shared, canonical, canonical)
+        if shared is not canonical and 0.0 in canonical:
+            return canonical
+        return shared
+
+    def canon(self, values: Iterable[Value]) -> EntitySet:
+        """``canon(values)`` as this KB's shared object for that set; a
+        shared set is returned as it is, without the sort."""
+        if type(values) is tuple and self._shared.get(values) is values:
+            return values
+        key = canon(values)
+        return self._share(values if key == values else key)
 
     def forward(self, values: Iterable[Value], prop: PropertyId) -> EntitySet:
         """All objects reachable from ``values`` along ``prop``.
 
         Unknown properties are an error, distinct from an empty result.
         """
+        key = None
+        if type(values) is tuple and self._shared.get(values) is values:
+            key = (values, prop)
+            cached = self._fwd_cache.get(key)
+            if cached is not None:
+                return cached
         if prop not in self.properties:
             raise UnknownPropertyError(f"unknown property {prop!r}")
         out: set[Value] = set()
         for value in values:
             if isinstance(value, str):
                 out.update(self._fwd.get((value, prop), ()))
-        return canon(out)
+        result = self._share(canon(out))
+        return result if key is None else _remember(self._fwd_cache, key, result)
+
+    def objects(self, value: Value, prop: PropertyId) -> EntitySet:
+        """The objects of one value along ``prop``: () for a literal or a
+        missing edge. ``prop`` is not checked."""
+        return self._fwd.get((value, prop), ())
 
     def reachable_properties(self, values: Iterable[Value]) -> frozenset[PropertyId]:
         """Properties with at least one edge out of ``values``."""
-        key = canon(values)
+        key = self.canon(values)
         cached = self._reach_cache.get(key)
         if cached is None:
             props: set[PropertyId] = set()
             for value in key:
                 if isinstance(value, str):
                     props.update(self._subj_props.get(value, ()))
-            cached = self._reach_cache[key] = frozenset(props)
+            cached = _remember(self._reach_cache, key, frozenset(props))
         return cached
 
     def comparable_properties(self, values: Iterable[Value]) -> frozenset[PropertyId]:
         """Reachable properties whose objects from ``values`` are all numbers
         or all dates (the kinds an ordering is defined on)."""
-        key = canon(values)
+        key = self.canon(values)
         cached = self._comp_cache.get(key)
         if cached is None:
             props: set[PropertyId] = set()
@@ -231,7 +297,7 @@ class KnowledgeBase:
                 kinds = {value_kind(obj) for obj in self.forward(key, prop)}
                 if kinds == {"number"} or kinds == {"date"}:
                     props.add(prop)
-            cached = self._comp_cache[key] = frozenset(props)
+            cached = _remember(self._comp_cache, key, frozenset(props))
         return cached
 
     def connecting_properties(
@@ -239,7 +305,7 @@ class KnowledgeBase:
     ) -> frozenset[PropertyId]:
         """Properties with an edge from some value in the first set to some
         value in the second."""
-        key = (canon(values1), canon(values2))
+        key = (self.canon(values1), self.canon(values2))
         cached = self._conn_cache.get(key)
         if cached is None:
             targets = set(key[1])
@@ -250,7 +316,7 @@ class KnowledgeBase:
                 for prop in self._subj_props.get(value, ()):
                     if prop not in props and not targets.isdisjoint(self._fwd[(value, prop)]):
                         props.add(prop)
-            cached = self._conn_cache[key] = frozenset(props)
+            cached = _remember(self._conn_cache, key, frozenset(props))
         return cached
 
     def lines(self) -> Iterator[str]:
@@ -261,6 +327,14 @@ class KnowledgeBase:
             yield f"{subject}\t{prop}\t{format_value(obj)}\t{value_kind(obj)}"
         for surface, entity in sorted(self.aliases.items()):
             yield f"@alias\t{surface}\t{entity}"
+
+    def digest(self) -> str:
+        """SHA-256 of the serialized records: two KBs share a digest
+        exactly when they save to the same file."""
+        sha = hashlib.sha256()
+        for line in self.lines():
+            sha.update(line.encode("utf-8") + b"\n")
+        return sha.hexdigest()
 
 
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:

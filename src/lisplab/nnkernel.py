@@ -442,7 +442,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     nl = blob.find(b"\n")
     if nl < 0:
         raise ValueError("checkpoint has no header line")
-    header = json.loads(blob[:nl].decode("utf-8"))
+    try:
+        header = json.loads(blob[:nl].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("checkpoint header is nested too deeply") from None
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
     if header.get("format") != _CHECKPOINT_FORMAT or header.get("version") != 1:

@@ -79,11 +79,16 @@ class QAItem:
 
 @dataclass
 class Model:
-    """Vocabularies plus parameters; everything a checkpoint must restore."""
+    """Vocabularies plus parameters; everything a checkpoint must restore.
+
+    ``kb_digest`` is the ``KnowledgeBase.digest`` of the KB the model was
+    built for: the same property names over another KB mean other facts.
+    """
 
     word_vocab: list[str]
     static_tokens: list[str]
     params: nn.ModelParams
+    kb_digest: str
 
     def __post_init__(self):
         self.word_index = {w: i for i, w in enumerate(self.word_vocab)}
@@ -131,7 +136,7 @@ def build_model(
     static_tokens = static_token_list(kb)
     rng = np.random.default_rng(seed)
     params = nn.ModelParams.init(rng, len(word_vocab), len(static_tokens), embed_dim, hidden_dim)
-    return Model(word_vocab, static_tokens, params)
+    return Model(word_vocab, static_tokens, params, kb.digest())
 
 
 def save_model(path, model: Model, max_expressions: int) -> None:
@@ -140,6 +145,7 @@ def save_model(path, model: Model, max_expressions: int) -> None:
     meta = {
         "embed_dim": model.params.embed_dim,
         "hidden_dim": model.params.hidden_dim,
+        "kb_digest": model.kb_digest,
         "max_expressions": max_expressions,
         "word_vocab": model.word_vocab,
         "static_tokens": model.static_tokens,
@@ -155,8 +161,11 @@ def load_model(path) -> tuple[Model, int]:
         vocabs = (meta["word_vocab"], meta["static_tokens"])
         dims = (meta["embed_dim"], meta["hidden_dim"])
         max_expressions = meta["max_expressions"]
+        kb_digest = meta["kb_digest"]
     except KeyError as exc:
         raise ValueError(f"checkpoint meta is missing {exc}") from None
+    if not isinstance(kb_digest, str):
+        raise ValueError(f"checkpoint meta kb_digest is malformed: {kb_digest!r} is not a string")
     if type(max_expressions) is not int or max_expressions < 1:
         raise ValueError("checkpoint meta max_expressions is malformed: "
                          f"{max_expressions!r} is not a positive int")
@@ -171,7 +180,7 @@ def load_model(path) -> tuple[Model, int]:
                              f"for {table.data.shape[0]} embedding rows")
     if dims != (params.embed_dim, params.hidden_dim):
         raise ValueError("checkpoint dims inconsistent with stored tensors")
-    return Model(*vocabs, params), max_expressions
+    return Model(*vocabs, params, kb_digest), max_expressions
 
 
 # ---------------------------------------------------------------------------

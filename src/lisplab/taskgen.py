@@ -441,25 +441,29 @@ def save_dataset(path, items: list[QAItem]) -> None:
 
 
 def load_dataset(path) -> list[QAItem]:
-    items = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record["id"], str) or not isinstance(record["question"], str):
-                    raise ValueError("id and question must be strings")
-                answers = canon(_answer_from_json(v) for v in record["answers"])
-                item = QAItem(
-                    record["id"],
-                    tuple(record["question"].split(" ")),
-                    tuple(((e["start"], e["end"]), e["id"]) for e in record["entities"]),
-                    answers,
-                )
-            except (KeyError, ValueError, TypeError, KBError) as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-            if not item.answers:
-                raise DatasetError(f"{path}:{lineno}: empty answer set")
-            items.append(item)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
+    items = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record["id"], str) or not isinstance(record["question"], str):
+                raise ValueError("id and question must be strings")
+            answers = canon(_answer_from_json(v) for v in record["answers"])
+            item = QAItem(
+                record["id"],
+                tuple(record["question"].split(" ")),
+                tuple(((e["start"], e["end"]), e["id"]) for e in record["entities"]),
+                answers,
+            )
+        except (KeyError, ValueError, TypeError, RecursionError, KBError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        if not item.answers:
+            raise DatasetError(f"{path}:{lineno}: empty answer set")
+        items.append(item)
     return items

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: raw comprehensions over triple
 lists, no indices, no sharing with the package under test. Slow is fine;
-being obviously correct is the point.
+being obviously correct is the point. The one exception is
+``random_rollout``, which drives the package's own decoding state to
+sample programs for the soundness tests.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 import datetime
 import random
 from itertools import product
+
+from hypothesis import strategies as st
+
+from lisplab.assist import AssistError, DecodingState
+from lisplab.interpreter import MAX_EXPRESSIONS, Program, parse_program
 
 Value = object
 
@@ -269,3 +276,44 @@ def enumerate_programs(triples, initial_vars, max_expressions):
                 yield from rec(exprs_so_far + [expr], env + [result])
 
     yield from rec([], list(initial_vars))
+
+
+def state_program(state: DecodingState) -> Program:
+    """The terminated program a decoding state spells out."""
+    if not state.terminated:
+        raise AssistError("state not terminated")
+    return parse_program(list(state.emitted), len(state.var_values) - state.n_expressions,
+                         state.max_expressions)
+
+
+def random_rollout(kb, initial_vars, rng_seed, max_expressions=MAX_EXPRESSIONS) -> Program:
+    """Sample a program by picking uniformly among valid tokens until RETURN.
+
+    Always terminates: RETURN is forced once the expression budget is
+    spent, and every intermediate state offers at least one token.
+    """
+    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    state = DecodingState(kb, initial_vars, max_expressions)
+    while not state.terminated:
+        choices = sorted(state.valid_tokens())
+        state = state.feed(rng.choice(choices))
+    return state_program(state)
+
+
+@st.composite
+def byte_edits(draw, blob: bytes) -> bytes:
+    """``blob`` with a few bytes replaced, inserted or deleted, or its tail cut."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out)))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        byte = draw(st.integers(0, 255))
+        if op == "insert" or not out:
+            out.insert(at, byte)
+        elif op == "replace":
+            out[min(at, len(out) - 1)] = byte
+        elif op == "delete":
+            del out[min(at, len(out) - 1)]
+        else:
+            del out[at:]
+    return bytes(out)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lisplab import cli, nnkernel as nn, programmer, taskgen, trainer
-from lisplab.assist import DecodingState, random_rollout
+from lisplab.assist import DecodingState
 from lisplab.interpreter import (
     ProgramError,
     execute_program,
@@ -29,6 +29,7 @@ from oracles import (
     enumerate_programs,
     naive_execute,
     random_program_tokens,
+    random_rollout,
     random_triples,
 )
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lisplab.assist import AssistError, DecodingState, random_rollout
+from lisplab.assist import AssistError, DecodingState
 from lisplab.interpreter import execute_program
 from lisplab.kb import KnowledgeBase
 
-from oracles import enumerate_programs, random_triples
+from oracles import enumerate_programs, random_rollout, random_triples
 
 
 def kb_of(*triples):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lisplab import cli, programmer, taskgen, trainer
+from lisplab import kb as kbmod
 from lisplab import nnkernel as nn
 
 
@@ -366,6 +367,15 @@ class TestMalformedInputs:
         for argv in (["eval", "--test", bench["test"]], ["parse", "--question", question]):
             line = assert_one_error_line(argv + ["--kb", kb12, "--checkpoint", str(trained["ckpt"])])
             assert "property set" in line
+
+    def test_kb_with_same_properties_other_facts(self, trained, bench, tmp_path):
+        kb1 = str(tmp_path / "kb1.tsv")
+        assert run_cli(["gen-kb", "--seed", "1", "--out", kb1]) == 0
+        assert kbmod.load_kb(kb1).properties == kbmod.load_kb(bench["kb"]).properties
+        question = " ".join(taskgen.load_dataset(bench["dev"])[0].tokens)
+        for argv in (["eval", "--test", bench["test"]], ["parse", "--question", question]):
+            line = assert_one_error_line(argv + ["--kb", kb1, "--checkpoint", str(trained["ckpt"])])
+            assert "different knowledge base" in line
 
     @pytest.mark.parametrize("record", [
         {"id": "q", "question": "a e001", "entities": [{"start": 1, "end": 2, "id": "e001"}],

@@ -1,9 +1,11 @@
 import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lisplab import kb as kbmod
 from lisplab.kb import (
     KBError,
     KBLoadError,
@@ -49,9 +51,10 @@ class TestValues:
         v = check_value(7)
         assert isinstance(v, float) and v == 7.0
 
-    @given(st.lists(values))
+    @given(st.one_of(st.lists(entity_ids), st.lists(numbers), st.lists(dates), st.lists(values)))
     def test_canon_matches_naive(self, vals):
         assert canon(vals) == naive_canon(vals)
+        assert build_kb([]).canon(vals) == naive_canon(vals)
 
     @given(st.lists(values))
     def test_canon_idempotent_and_setlike(self, vals):
@@ -120,6 +123,78 @@ class TestQueries:
             {"hodgenville": "Hodgenville"},
         )
         assert kb.forward(["Hodgenville"], "PlaceOfBirthOf") == ("AbeLincoln",)
+
+
+class TestMemo:
+    """The canonical-set table and the bounded memos change no answer."""
+
+    @given(st.sampled_from(["int", "bool", "datetime"]), st.integers(0, 3), triples)
+    def test_non_values_raise_even_after_an_equal_set_is_cached(self, kind, n, raw):
+        if kind == "datetime":
+            good, bad = datetime.date(2000, 1, 1 + n), datetime.datetime(2000, 1, 1 + n)
+        else:
+            good, bad = float(n % 2 if kind == "bool" else n), (n % 2 == 1 if kind == "bool" else n)
+        kb = build_kb(raw)
+        shared = kb.canon((good,))
+        assert kb.canon(shared) is shared
+        kb.reachable_properties(shared)
+        kb.comparable_properties(shared)
+        kb.connecting_properties(shared, shared)
+        for vals in ((bad,), ("a", bad), [bad]):
+            with pytest.raises(TypeError):
+                canon(vals)
+            for query in (kb.canon, kb.reachable_properties, kb.comparable_properties,
+                          lambda v: kb.connecting_properties(v, shared),
+                          lambda v: kb.connecting_properties(shared, v)):
+                with pytest.raises(TypeError):
+                    query(vals)
+
+    @given(triples, st.lists(st.lists(values, max_size=4), min_size=1, max_size=4))
+    @settings(max_examples=50)
+    def test_cleared_memos_answer_like_a_fresh_kb(self, raw, starts):
+        def answers(kb):
+            pool = [kb.canon(vals) for vals in starts]
+            out = []
+            for _ in range(2):
+                for vals in list(pool):
+                    out.append(kb.reachable_properties(vals))
+                    out.append(kb.comparable_properties(vals))
+                    for other in pool[:3]:
+                        out.append(kb.connecting_properties(vals, other))
+                    for prop in sorted(kb.properties):
+                        result = kb.forward(vals, prop)
+                        out.append(repr(result))
+                        pool.append(result)
+            return out
+
+        expected = answers(build_kb(raw))
+        with mock.patch.object(kbmod, "MEMO_LIMIT", 3):
+            kb = build_kb(raw)
+            assert answers(kb) == expected
+            memos = (kb._shared, kb._fwd_cache, kb._reach_cache, kb._comp_cache, kb._conn_cache)
+            assert all(len(memo) <= 3 for memo in memos)
+
+    @given(triples, st.lists(values, max_size=6), property_ids)
+    def test_forward_list_and_tuple_agree(self, raw, vals, prop):
+        kb = build_kb(raw)
+        if prop not in kb.properties:
+            return
+        shared = kb.canon(vals)
+        assert repr(kb.forward(vals, prop)) == repr(kb.forward(tuple(vals), prop))
+        assert repr(kb.forward(shared, prop)) == repr(kb.forward(list(shared), prop))
+        assert kb.forward(vals, prop) == kb.forward(shared, prop) == naive_hop(raw, vals, prop)
+
+    def test_shared_sets_keep_the_sign_of_zero(self):
+        kb = build_kb([("a", "num", -0.0), ("b", "num", 0.0)])
+        assert repr(kb.forward(("a",), "num")) == "(-0.0,)"
+        assert repr(kb.forward(("b",), "num")) == "(0.0,)"
+        assert repr(kb.canon([0.0])) == "(0.0,)"
+
+    def test_digest_follows_the_saved_file(self):
+        kb = build_kb([("a", "p0", "b")], {"abe": "a"})
+        assert kb.digest() == build_kb([("a", "p0", "b")], {"abe": "a"}).digest()
+        assert kb.digest() != build_kb([("a", "p0", "c")], {"abe": "a"}).digest()
+        assert kb.digest() != build_kb([("a", "p0", "b")]).digest()
 
 
 class TestConstruction:

@@ -1,12 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisplab import nnkernel as nn
 from lisplab import programmer as pg
 from lisplab.assist import DecodingState
 from lisplab.kb import KnowledgeBase
 
-from oracles import enumerate_programs, scalar_softmax
+from oracles import byte_edits, enumerate_programs, scalar_softmax
 
 KB_TRIPLES = [
     ("abe", "BornIn", "hodgenville"),
@@ -398,3 +403,74 @@ class TestCheckpointing:
         pg.save_model(tmp_path / "a.ckpt", model, 3)
         pg.save_model(tmp_path / "b.ckpt", model, 3)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def model_fields(model: pg.Model, max_expressions: int):
+    """What a checkpoint stores, with tensors as raw bytes."""
+    tensors = [(name, t.data.shape, t.data.tobytes()) for name, t in model.params.named_tensors()]
+    return (model.word_vocab, model.static_tokens, model.kb_digest, max_expressions, tensors)
+
+
+@st.composite
+def models(draw):
+    vocab = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True)
+    word_vocab, static_tokens = draw(vocab), draw(vocab)
+    embed_dim, hidden_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    params = nn.ModelParams.init(np.random.default_rng(draw(st.integers(0, 99))),
+                                 len(word_vocab), len(static_tokens), embed_dim, hidden_dim)
+    return pg.Model(word_vocab, static_tokens, params, draw(st.text(max_size=8)))
+
+
+class TestCheckpointFuzz:
+    """A checkpoint file either loads and round-trips exactly or raises
+    ValueError, the error the CLI reports as one ``error:`` line."""
+
+    @given(models(), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip(self, model, max_expressions):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            pg.save_model(path, model, max_expressions)
+            first = path.read_bytes()
+            reloaded = pg.load_model(path)
+            assert model_fields(*reloaded) == model_fields(model, max_expressions)
+            pg.save_model(path, *reloaded)
+            assert path.read_bytes() == first
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_bytes_load_exactly_or_raise(self, data):
+        model = tiny_model(seed=data.draw(st.integers(0, 3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            pg.save_model(path, model, 3)
+            path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+            try:
+                loaded = pg.load_model(path)
+            except ValueError as exc:
+                assert "\n" not in str(exc)
+                return
+            pg.save_model(path, *loaded)
+            assert model_fields(*pg.load_model(path)) == model_fields(*loaded)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_header_loads_exactly_or_raises(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            pg.save_model(path, tiny_model(), 3)
+            header, sep, tensors = path.read_bytes().partition(b"\n")
+            path.write_bytes(data.draw(byte_edits(header)) + sep + tensors)
+            try:
+                loaded = pg.load_model(path)
+            except ValueError as exc:
+                assert "\n" not in str(exc)
+                return
+            pg.save_model(path, *loaded)
+            assert model_fields(*pg.load_model(path)) == model_fields(*loaded)
+
+    def test_deep_nesting_raises(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(b"[" * 100_000 + b"\n")
+        with pytest.raises(ValueError, match="nested"):
+            pg.load_model(path)

@@ -1,14 +1,20 @@
 import collections
 import datetime
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisplab import taskgen
 from lisplab.assist import DecodingState
 from lisplab.kb import KnowledgeBase, load_kb, resolve_entities, save_kb, value_kind
 from lisplab.programmer import QAItem
+
+from oracles import byte_edits
 
 
 class TestGenKb:
@@ -221,3 +227,95 @@ class TestDatasetFiles:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(taskgen.DatasetError, match="bad.jsonl:1: .*whitespace"):
             taskgen.load_dataset(path)
+
+
+# --- fuzzing the dataset format -------------------------------------------
+
+words = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=4).filter(
+    lambda w: w.split() == [w])
+answer_values = st.one_of(
+    st.text(min_size=1, max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.dates(),
+)
+
+
+@st.composite
+def qa_items(draw):
+    tokens = draw(st.lists(words, min_size=1, max_size=6))
+    cuts = sorted(draw(st.sets(st.integers(0, len(tokens)), max_size=len(tokens) + 1)))
+    spans = list(zip(cuts[0::2], cuts[1::2]))
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=len(spans), max_size=len(spans)))
+    return QAItem(draw(st.text(max_size=4)), tuple(tokens), tuple(zip(spans, ids)),
+                  tuple(draw(st.lists(answer_values, min_size=1, max_size=4))))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def load_or_reject(blob: bytes):
+    """Load ``blob`` as a dataset file: the items, or None when it is
+    rejected with a DatasetError; any other exception fails the test.
+    Loaded items must round-trip through save and load exactly."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(blob)
+        try:
+            items = taskgen.load_dataset(path)
+        except taskgen.DatasetError as exc:
+            assert str(path) in str(exc) and "\n" not in str(exc)
+            return None
+        taskgen.save_dataset(path, items)
+        assert taskgen.load_dataset(path) == items
+        return items
+
+
+class TestDatasetFuzz:
+    @given(st.lists(qa_items(), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, items):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            taskgen.save_dataset(path, items)
+            assert taskgen.load_dataset(path) == items
+            first = path.read_bytes()
+            taskgen.save_dataset(path, taskgen.load_dataset(path))
+            assert path.read_bytes() == first
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_edited_bytes_load_exactly_or_raise(self, data):
+        items = data.draw(st.lists(qa_items(), min_size=1, max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            taskgen.save_dataset(path, items)
+            blob = path.read_bytes()
+        load_or_reject(data.draw(byte_edits(blob)))
+
+    @given(qa_items(), st.sampled_from(["id", "question", "entities", "answers", "start", "end",
+                                        "entity_id", "answer"]), json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_replaced_fields_load_exactly_or_raise(self, item, field, value):
+        record = {"id": item.qid, "question": " ".join(item.tokens),
+                  "entities": [{"start": s, "end": e, "id": eid} for (s, e), eid in item.entities],
+                  "answers": [["entity", "x"]]}
+        if field in ("start", "end", "entity_id"):
+            record["entities"].append({"start": 0, "end": 1, "id": "x"})
+            record["entities"][-1][field.removeprefix("entity_")] = value
+        elif field == "answer":
+            record["answers"].append(value)
+        else:
+            record[field] = value
+        load_or_reject(json.dumps(record).encode("utf-8") + b"\n")
+
+    @given(st.binary(max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes_load_exactly_or_raise(self, blob):
+        load_or_reject(blob)
+
+    def test_deep_nesting_raises(self):
+        assert load_or_reject(b"[" * 100_000 + b"\n") is None
