@@ -37,30 +37,40 @@ def config_defaults() -> dict:
 def load_config(path=None) -> dict:
     """Read a flat key=value file over the defaults.
 
-    Unknown keys are rejected rather than ignored: a typo that silently
-    fell back to a default would be miserable to debug in a training run.
+    Unknown and repeated keys are rejected rather than ignored: a typo
+    that silently fell back to a default, or a second line that silently
+    overrode the first, would be miserable to debug in a training run.
+    Every failure is a ValueError naming the file.
     """
     cfg = config_defaults()
     if path is None:
         return cfg
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key not in cfg:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = type(cfg[key])
-            try:
-                cfg[key] = kind(value.strip())
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad {kind.__name__} for {key}: {value.strip()!r}"
-                ) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    seen = set()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in cfg:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
+        seen.add(key)
+        kind = type(cfg[key])
+        try:
+            cfg[key] = kind(value.strip())
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: bad {kind.__name__} for {key}: {value.strip()!r}"
+            ) from None
     return cfg
 
 

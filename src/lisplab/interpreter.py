@@ -225,12 +225,7 @@ def execute_program(
     return result
 
 
-def run_program_text(
-    kb: KnowledgeBase,
-    text: str,
-    initial_vars: list[EntitySet],
-    max_expressions: int = MAX_EXPRESSIONS,
-) -> EntitySet:
-    program = parse_program(text, len(initial_vars), max_expressions)
+def run_program_text(kb: KnowledgeBase, text: str, initial_vars: list[EntitySet]) -> EntitySet:
+    program = parse_program(text, len(initial_vars))
     return execute_program(kb, program, initial_vars)
 

@@ -35,7 +35,6 @@ EntitySet = tuple[Value, ...]
 Triple = tuple[EntityId, PropertyId, Value]
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_OBJECT_KINDS = ("entity", "number", "date")
 
 # Entries a KnowledgeBase memo holds before it is cleared. The default
 # 100-entity task stays well below it (about 5,800 entries after training);
@@ -367,8 +366,6 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                     if len(fields) != 4:
                         raise KBError("triple lines need subject, property, object, object_kind")
                     subject, prop, obj_text, kind = fields
-                    if kind not in _OBJECT_KINDS:
-                        raise KBError(f"unknown object_kind {kind!r}")
                     if not subject or not prop:
                         raise KBError("empty subject or property")
                     triples.append((subject, prop, parse_value(obj_text, kind)))

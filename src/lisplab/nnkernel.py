@@ -1,19 +1,19 @@
-"""Deterministic numeric core: tensors, GRU, attention, exact gradients.
+"""Deterministic numeric core: parameters, layers with exact gradients, checkpoints.
 
-A tiny tape: every op returns a Tensor that remembers its inputs and a
-closure computing input gradients from the output gradient. Every op
-records; there is no tape-off mode. backward() walks the tape once in
-reverse topological order. The layers (GRU step, attention, output
-logits, masked log-likelihood) are single tape nodes with hand-derived
-backward passes, in float64 so finite differences are meaningful;
-``programmer.grad_check`` runs that check on the programmer's replay.
+Each layer (GRU step, attention, output logits, masked log-softmax) is
+one NumPy forward and one hand-derived backward, in float64 so finite
+differences are meaningful. A forward returns its output together with
+what its backward needs. A backward takes the output gradient, adds its
+weight gradients to the parameters' ``.grad`` (one ``np.outer`` per
+weight and call) and returns the input gradients.
+``programmer.program_logprob`` chains them over a whole program and
+returns one Tensor whose backward walks that chain once in reverse;
+``programmer.grad_check`` compares it with finite differences.
 
-Each layer's forward is written once, batched as ``x @ W.T``. The tape
-op passes it vectors; the plain-numpy twin that search and sampling
-call passes vectors or (B, H) batches of lanes. For vectors ``x @ W.T``
-is the same matrix-vector product as ``W @ x``, bit for bit. Besides
-these the module holds the masked log-softmax both sides share and the
-checkpoint format. No GPU, no graph compiler, no broadcasting zoo.
+Each forward is written once, batched as ``x @ W.T``: the replay passes
+vectors, search and sampling pass vectors or (B, H) batches of lanes.
+For vectors ``x @ W.T`` is the same matrix-vector product as ``W @ x``,
+bit for bit. No GPU, no graph compiler, no broadcasting zoo.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import numpy as np
 
 
 class Tensor:
-    """A float64 array plus its place in the tape."""
+    """A float64 array. A parameter gathers its gradient in ``grad``; a
+    replay's log probability carries the closure that back-propagates it."""
 
-    __slots__ = ("data", "grad", "_prev", "_bw")
+    __slots__ = ("data", "grad", "_bw")
 
-    def __init__(self, data, prev=(), bw=None):
+    def __init__(self, data, bw=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._prev = prev
         self._bw = bw
 
     def __repr__(self):
@@ -44,94 +44,24 @@ def leaf(data) -> Tensor:
     return Tensor(data)
 
 
+def grad_of(t: Tensor) -> np.ndarray:
+    """t's gradient buffer, zeros until something is added to it."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
+
+
 def _acc(t: Tensor, g) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    grad = grad_of(t)
+    grad += g
 
 
-def _acc_rows(t: Tensor, idx, g) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[idx] += g
-
-
-def backward(loss: Tensor) -> None:
-    """Reverse accumulation from a scalar loss; fills .grad on the tape."""
-    if loss.data.shape != ():
-        raise ValueError("backward needs a scalar loss")
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, int]] = [(loss, 0)]
-    visited.add(id(loss))
-    while stack:
-        node, child = stack[-1]
-        if child < len(node._prev):
-            stack[-1] = (node, child + 1)
-            nxt = node._prev[child]
-            if id(nxt) not in visited:
-                visited.add(id(nxt))
-                stack.append((nxt, 0))
-        else:
-            stack.pop()
-            topo.append(node)
-    loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
-        if node._bw is not None and node.grad is not None:
-            node._bw(node.grad)
-
-
-# ---------------------------------------------------------------------------
-# generic ops
-
-
-def addn(ts: list[Tensor]) -> Tensor:
-    ts = tuple(ts)
-    if not ts:
-        raise ValueError("addn of nothing")
-    data = ts[0].data.copy()
-    for t in ts[1:]:
-        data = data + t.data
-
-    def bw(g):
-        for t in ts:
-            _acc(t, g)
-    return Tensor(data, ts, bw)
-
-
-def scale(t: Tensor, c: float) -> Tensor:
-    def bw(g):
-        _acc(t, g * c)
-    return Tensor(t.data * c, (t,), bw)
-
-
-def row(table: Tensor, idx: int) -> Tensor:
-    def bw(g):
-        _acc_rows(table, idx, g)
-    return Tensor(table.data[idx], (table,), bw)
-
-
-def stack(vecs: list[Tensor]) -> Tensor:
-    """Rows -> matrix; gradient scatters back per row."""
-    vecs = tuple(vecs)
-    if not vecs:
-        raise ValueError("stack of nothing")
-
-    def bw(g):
-        for i, v in enumerate(vecs):
-            _acc(v, g[i])
-    return Tensor(np.stack([v.data for v in vecs]), vecs, bw)
-
-
-def span_mean(mat: Tensor, start: int, end: int) -> Tensor:
-    """Mean of rows start..end-1."""
-    if not 0 <= start < end <= mat.data.shape[0]:
-        raise ValueError(f"bad span ({start}, {end})")
-    width = end - start
-
-    def bw(g):
-        _acc_rows(mat, slice(start, end), g / width)
-    return Tensor(mat.data[start:end].mean(axis=0), (mat,), bw)
+def backward(loss: Tensor, weight: float = 1.0) -> None:
+    """Add the gradient of weight * loss to the .grad of every parameter
+    the scalar loss was computed from."""
+    if loss.data.shape != () or loss._bw is None:
+        raise ValueError("backward needs a scalar loss computed from parameters")
+    loss._bw(float(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +178,7 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# layers: one forward each, shared by the tape op and its plain-numpy twin
+# layers: one forward and one backward each
 
 
 def _sigmoid_np(x):
@@ -260,160 +190,147 @@ def _sigmoid_np(x):
     return out
 
 
-def _gru_gates(gp: GRUParams, h: np.ndarray, x: np.ndarray):
-    """Update gate z, reset gate r and candidate c of one GRU step.
+def gru_step(gp: GRUParams, h: np.ndarray, x: np.ndarray):
+    """One GRU step; the update gate keeps the old state: h' = z*h + (1-z)*c.
 
-    The reset gate applies to the hidden path before the candidate;
-    h, x are (H,)/(E,) or (B,H)/(B,E).
+    The reset gate r applies to the hidden path before the candidate c;
+    h, x are (H,)/(E,) or (B,H)/(B,E). Returns (h', z, r, c), the gates
+    being what gru_step_back needs.
     """
     z = _sigmoid_np(x @ gp.wxz.data.T + h @ gp.whz.data.T + gp.bz.data)
     r = _sigmoid_np(x @ gp.wxr.data.T + h @ gp.whr.data.T + gp.br.data)
     c = np.tanh(x @ gp.wxc.data.T + (r * h) @ gp.whc.data.T + gp.bc.data)
-    return z, r, c
-
-
-def gru_step(gp: GRUParams, h: Tensor, x: Tensor) -> Tensor:
-    """One GRU step; the update gate keeps the old state: h' = z*h + (1-z)*c."""
-    hd, xd = h.data, x.data
-    if hd.shape[0] != gp.whz.data.shape[1] or xd.shape[0] != gp.wxz.data.shape[1]:
-        raise ValueError("gru_step shape mismatch")
-    z, r, c = _gru_gates(gp, hd, xd)
-
-    def bw(g):
-        rh = r * hd
-        dz = g * (hd - c)
-        dh = g * z
-        dc_pre = g * (1.0 - z) * (1.0 - c * c)
-        dz_pre = dz * z * (1.0 - z)
-        drh = gp.whc.data.T @ dc_pre
-        dr_pre = drh * hd * r * (1.0 - r)
-        dh += drh * r
-        dh += gp.whz.data.T @ dz_pre + gp.whr.data.T @ dr_pre
-        dx = gp.wxz.data.T @ dz_pre + gp.wxr.data.T @ dr_pre + gp.wxc.data.T @ dc_pre
-        _acc(gp.wxz, np.outer(dz_pre, xd))
-        _acc(gp.whz, np.outer(dz_pre, hd))
-        _acc(gp.bz, dz_pre)
-        _acc(gp.wxr, np.outer(dr_pre, xd))
-        _acc(gp.whr, np.outer(dr_pre, hd))
-        _acc(gp.br, dr_pre)
-        _acc(gp.wxc, np.outer(dc_pre, xd))
-        _acc(gp.whc, np.outer(dc_pre, rh))
-        _acc(gp.bc, dc_pre)
-        _acc(x, dx)
-        _acc(h, dh)
-    prev = (h, x, gp.wxz, gp.whz, gp.bz, gp.wxr, gp.whr, gp.br, gp.wxc, gp.whc, gp.bc)
-    return Tensor(z * hd + (1.0 - z) * c, prev, bw)
+    return z * h + (1.0 - z) * c, z, r, c
 
 
 def gru_step_np(gp: GRUParams, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tape-free twin of gru_step: h, x may be (H,)/(E,) or (B,H)/(B,E)."""
-    z, _, c = _gru_gates(gp, h, x)
-    return z * h + (1.0 - z) * c
+    """gru_step's new state alone, for decoding that keeps no gradients."""
+    return gru_step(gp, h, x)[0]
 
 
-def _attend(ap: AttentionParams, u: np.ndarray, enc: np.ndarray):
-    """Dot-product attention, tanh-combined, for u of shape (H,) or (B,H).
+def gru_step_back(gp: GRUParams, g, h, x, z, r, c):
+    """Backward of a vector gru_step(gp, h, x) -> (h', z, r, c) for output
+    gradient g: adds the weight gradients and returns (dx, dh)."""
+    rh = r * h
+    dz = g * (h - c)
+    dh = g * z
+    dc_pre = g * (1.0 - z) * (1.0 - c * c)
+    dz_pre = dz * z * (1.0 - z)
+    drh = gp.whc.data.T @ dc_pre
+    dr_pre = drh * h * r * (1.0 - r)
+    dh += drh * r
+    dh += gp.whz.data.T @ dz_pre + gp.whr.data.T @ dr_pre
+    dx = gp.wxz.data.T @ dz_pre + gp.wxr.data.T @ dr_pre + gp.wxc.data.T @ dc_pre
+    _acc(gp.wxz, np.outer(dz_pre, x))
+    _acc(gp.whz, np.outer(dz_pre, h))
+    _acc(gp.bz, dz_pre)
+    _acc(gp.wxr, np.outer(dr_pre, x))
+    _acc(gp.whr, np.outer(dr_pre, h))
+    _acc(gp.br, dr_pre)
+    _acc(gp.wxc, np.outer(dc_pre, x))
+    _acc(gp.whc, np.outer(dc_pre, rh))
+    _acc(gp.bc, dc_pre)
+    return dx, dh
+
+
+def attention(ap: AttentionParams, u: np.ndarray, enc: np.ndarray):
+    """Dot-product attention, tanh-combined, of u (H,) or (B,H) over the
+    encoder outputs enc (T,H).
 
     scores s_t = u . (W_score @ enc_t); weights = softmax(s);
     context = sum_t w_t enc_t; output = tanh(W_combine @ [u; context]).
-    Returns the query u @ W_score, the weights, [u; context] and the output.
+    Returns (output, query u @ W_score, weights, [u; context]), the last
+    three being what attention_back needs.
     """
+    if enc.ndim != 2 or enc.shape[0] == 0:
+        raise ValueError("attention needs at least one encoder output")
     q = u @ ap.w_score.data
     s = q @ enc.T
     s = s - s.max(axis=-1, keepdims=True)
     w = np.exp(s)
     w /= w.sum(axis=-1, keepdims=True)
     cat = np.concatenate([u, w @ enc], axis=-1)
-    return q, w, cat, np.tanh(cat @ ap.w_combine.data.T)
-
-
-def attention(ap: AttentionParams, u: Tensor, enc: Tensor) -> Tensor:
-    """Attention of one decoder state over the encoder outputs (T, H)."""
-    ud, encd = u.data, enc.data
-    if encd.ndim != 2 or encd.shape[0] == 0:
-        raise ValueError("attention needs at least one encoder output")
-    q, w, cat, od = _attend(ap, ud, encd)
-
-    def bw(g):
-        dcomb = g * (1.0 - od * od)
-        _acc(ap.w_combine, np.outer(dcomb, cat))
-        dcat = ap.w_combine.data.T @ dcomb
-        hidden = ud.shape[0]
-        du = dcat[:hidden].copy()
-        dctx = dcat[hidden:]
-        dw = encd @ dctx
-        denc = np.outer(w, dctx)
-        ds = w * (dw - w @ dw)
-        dq = encd.T @ ds
-        denc += np.outer(ds, q)
-        du += ap.w_score.data @ dq
-        _acc(ap.w_score, np.outer(ud, dq))
-        _acc(u, du)
-        _acc(enc, denc)
-    return Tensor(od, (u, enc, ap.w_score, ap.w_combine), bw)
+    return np.tanh(cat @ ap.w_combine.data.T), q, w, cat
 
 
 def attention_np(ap: AttentionParams, u: np.ndarray, enc: np.ndarray) -> np.ndarray:
-    """Tape-free twin of attention: u may be (H,) or (B,H); enc is (T,H)."""
-    return _attend(ap, u, enc)[3]
+    """attention's output alone, for decoding that keeps no gradients."""
+    return attention(ap, u, enc)[0]
 
 
-def output_logits(w_out: Tensor, w_key: Tensor, a: Tensor, keys: list[Tensor]) -> Tensor:
-    """Decoder logits of attention output a: one per static token
-    (a @ W_out.T), then one per memory key, key_i . (a @ W_key.T)."""
-    keys = tuple(keys)  # snapshot: callers may grow their list afterwards
-    ad = a.data
-    data = ad @ w_out.data.T
-    n_static = data.shape[0]
-    if keys:
-        proj = ad @ w_key.data.T
-        kmat = np.stack([k.data for k in keys])
-        data = np.concatenate([data, kmat @ proj])
-
-    def bw(g):
-        gs = g[:n_static]
-        _acc(w_out, np.outer(gs, ad))
-        da = w_out.data.T @ gs
-        if keys:
-            gv = g[n_static:]
-            dproj = kmat.T @ gv
-            for i, k in enumerate(keys):
-                _acc(k, gv[i] * proj)
-            _acc(w_key, np.outer(dproj, ad))
-            da += w_key.data.T @ dproj
-        _acc(a, da)
-    return Tensor(data, (w_out, w_key, a, *keys), bw)
+def attention_back(ap: AttentionParams, g, u, enc, out, q, w, cat):
+    """Backward of a vector attention(ap, u, enc) -> (out, q, w, cat) for
+    output gradient g: adds the weight gradients and returns (du, denc)."""
+    dcomb = g * (1.0 - out * out)
+    _acc(ap.w_combine, np.outer(dcomb, cat))
+    dcat = ap.w_combine.data.T @ dcomb
+    hidden = u.shape[0]
+    du = dcat[:hidden].copy()
+    dctx = dcat[hidden:]
+    dw = enc @ dctx
+    denc = np.outer(w, dctx)
+    ds = w * (dw - w @ dw)
+    dq = enc.T @ ds
+    denc += np.outer(ds, q)
+    du += ap.w_score.data @ dq
+    _acc(ap.w_score, np.outer(u, dq))
+    return du, denc
 
 
-def masked_log_prob(logits: Tensor, valid_ids: np.ndarray, chosen: int) -> Tensor:
-    """log p(chosen) under a softmax restricted to valid_ids.
+def output_logits(w_out: Tensor, w_key: Tensor, a: np.ndarray, keys: list):
+    """Decoder logits of attention output a (H,): one per static token
+    (a @ W_out.T), then one per memory key, key_i . (a @ W_key.T).
 
-    chosen must be one of valid_ids; invalid logits contribute nothing to
-    the normalizer, implementing exact-zero probability for them. The
-    value is the chosen entry of log_probs_over, the twin search uses.
+    Returns (logits, key matrix, a @ W_key.T); without keys the last two
+    are None. output_logits_back needs them.
     """
-    valid_ids = np.asarray(valid_ids, dtype=np.int64)
-    ld = logits.data
-    pos = np.nonzero(valid_ids == chosen)[0]
-    if pos.size != 1:
-        raise ValueError(f"chosen id {chosen} not among valid ids")
-    logps = log_probs_over(ld, valid_ids)
+    logits = a @ w_out.data.T
+    if not keys:
+        return logits, None, None
+    proj = a @ w_key.data.T
+    kmat = np.stack(keys)
+    return np.concatenate([logits, kmat @ proj]), kmat, proj
 
-    def bw(g):
-        p = np.exp(logps)
-        gl = np.zeros_like(ld)
-        np.add.at(gl, valid_ids, -float(g) * p)
-        gl[chosen] += float(g)
-        _acc(logits, gl)
-    return Tensor(logps[pos[0]], (logits,), bw)
+
+def output_logits_back(w_out: Tensor, w_key: Tensor, g, a, kmat, proj, key_grads):
+    """Backward of output_logits for logit gradient g: adds the weight
+    gradients, adds key i's gradient to key_grads[i] in place and returns
+    da."""
+    n_static = w_out.data.shape[0]
+    gs = g[:n_static]
+    _acc(w_out, np.outer(gs, a))
+    da = w_out.data.T @ gs
+    if kmat is not None:
+        gv = g[n_static:]
+        dproj = kmat.T @ gv
+        for i, dk in enumerate(key_grads):
+            dk += gv[i] * proj
+        _acc(w_key, np.outer(dproj, a))
+        da += w_key.data.T @ dproj
+    return da
 
 
 def log_probs_over(logits: np.ndarray, valid_ids: np.ndarray) -> np.ndarray:
-    """log softmax over just the valid ids; aligned with valid_ids."""
+    """log softmax over just the valid ids; aligned with valid_ids.
+
+    Invalid logits contribute nothing to the normalizer: the decoder's
+    exact-zero probability for tokens the assist rules out.
+    """
     sub = logits[valid_ids]
     m = sub.max()
     lse = m + np.log(np.exp(sub - m).sum())
     return sub - lse
+
+
+def log_probs_over_back(g: float, logps, valid_ids, chosen: int, size: int) -> np.ndarray:
+    """Gradient over all size logits of g times the chosen id's entry of
+    log_probs_over, whose result is logps: g * (onehot - p) on the valid
+    ids and exactly 0 elsewhere."""
+    p = np.exp(logps)
+    gl = np.zeros(size)
+    np.add.at(gl, valid_ids, -g * p)
+    gl[chosen] += g
+    return gl
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,19 @@ the static program tokens plus one token per memory variable. When an
 expression closes, the machine executes it and the result joins the
 memory, keyed by the decoder output of the step that read ")".
 
-Search and sampling decode on plain numpy (their encoder's tape is
-discarded); training replays a chosen program through the tape to get
-exact gradients of its log probability. Both follow one set of decoder
-rules (``_start``, ``_valid_ids``, ``_feed``), and ``grad_check``
-compares the replay's gradients with finite differences.
+Search, sampling and the training replay run one NumPy forward: one
+encoder and one set of decoder rules (``_start``, ``_valid_ids``,
+``_feed``). The replay of a chosen program also keeps what each layer's
+backward needs, and its log probability back-propagates in one pass
+over the program in reverse, into every parameter. ``grad_check``
+compares those gradients with finite differences.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -189,9 +191,10 @@ def load_model(path) -> tuple[Model, int]:
 
 @dataclass
 class Encoding:
-    enc: nn.Tensor  # (T, hidden)
-    last: nn.Tensor  # (hidden,)
-    keys: list[nn.Tensor]  # one per initial entity variable
+    enc: np.ndarray  # (T, hidden): the state after each question word
+    keys: list[np.ndarray]  # one per initial entity variable
+    word_ids: list[int]  # per word, its word_emb row
+    gates: list[tuple]  # per word, the (z, r, c) its GRU step's backward needs
 
 
 def encode(model: Model, item: QAItem) -> Encoding:
@@ -200,70 +203,24 @@ def encode(model: Model, item: QAItem) -> Encoding:
     if not tokens:
         raise ValueError("empty question")
     params = model.params
-    h = nn.leaf(np.zeros(params.hidden_dim))
-    steps = []
-    for word in tokens:
-        wid = model.word_index.get(word, 0)
-        h = nn.gru_step(params.encoder, h, nn.row(params.word_emb, wid))
-        steps.append(h)
-    enc = nn.stack(steps)
-    keys = [nn.span_mean(enc, start, end) for (start, end), _ in item.entities]
-    return Encoding(enc=enc, last=steps[-1], keys=keys)
+    h = np.zeros(params.hidden_dim)
+    word_ids = [model.word_index.get(word, 0) for word in tokens]
+    states, gates = [], []
+    for wid in word_ids:
+        h, *zrc = nn.gru_step(params.encoder, h, params.word_emb.data[wid])
+        states.append(h)
+        gates.append(zrc)
+    enc = np.stack(states)
+    keys = [enc[start:end].mean(axis=0) for (start, end), _ in item.entities]
+    return Encoding(enc, keys, word_ids, gates)
 
 
 # ---------------------------------------------------------------------------
-# decoder rules, shared by search (plain numpy) and replay (tape)
-
-
-def _start(model: Model, kb: KnowledgeBase, item: QAItem, max_expressions, last, tape: bool):
-    """Fresh assist state, and the decoder state after GO fed on the encoder's last."""
-    state = DecodingState(kb, item.initial_vars(), max_expressions)
-    go = model.token_index[GO]
-    return state, _decoder_step(model, last, _token_vector(model, (), go, tape), tape)
-
-
-def _valid_ids(model: Model, state: DecodingState) -> np.ndarray:
-    """The ids the assist allows next, sorted: the mask of every decoder step."""
-    return np.array(sorted(model.token_to_id(t) for t in state.valid_tokens()), dtype=np.int64)
-
-
-def _token_vector(model: Model, keys, token_id: int, tape: bool):
-    """What a token feeds the decoder: its token_emb row, or its memory key."""
-    if token_id >= model.n_static:
-        return keys[token_id - model.n_static]
-    table = model.params.token_emb
-    return nn.row(table, token_id) if tape else table.data[token_id]
-
-
-def _decoder_step(model: Model, h, x, tape: bool):
-    # looked up at call time, so wrappers installed on nnkernel see the call
-    if tape:
-        return nn.gru_step(model.params.decoder, h, x)
-    return nn.gru_step_np(model.params.decoder, h, x)
-
-
-def _feed(model: Model, state: DecodingState, dec_h, keys: list, token_id: int, tape: bool):
-    """Consume one token: advance the assist state and the decoder.
-
-    RETURN ends the program, so no GRU step follows it. ")" executes the
-    expression, and the decoder state that read it becomes the memory key
-    of the variable the expression creates (appended to keys in place).
-    """
-    token = model.id_to_token(token_id)
-    state = state.feed(token)
-    if token != RETURN:
-        dec_h = _decoder_step(model, dec_h, _token_vector(model, keys, token_id, tape), tape)
-        if token == CLOSE:
-            keys.append(dec_h)
-    return state, dec_h
-
-
-# ---------------------------------------------------------------------------
-# search-side decoding (plain numpy)
+# decoder rules, shared by search, sampling and replay
 
 
 class _Lane:
-    """One decoding hypothesis in the numpy search path."""
+    """One decoding hypothesis: assist state, decoder state, memory keys."""
 
     __slots__ = ("state", "dec_h", "keys", "token_ids", "logprob")
 
@@ -284,6 +241,69 @@ class _Lane:
         lane.logprob = self.logprob
         return lane
 
+    def step(self, model: Model, x) -> None:
+        # looked up at call time, so wrappers installed on nnkernel see the call
+        self.dec_h = nn.gru_step_np(model.params.decoder, self.dec_h, x)
+
+
+class _Replay(_Lane):
+    """A lane that keeps (h, x, h', z, r, c) of every decoder GRU step,
+    GO first, for the backward of its log probability."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, state, dec_h, keys):
+        super().__init__(state, dec_h, keys)
+        self.steps = []
+
+    def step(self, model: Model, x) -> None:
+        out = nn.gru_step(model.params.decoder, self.dec_h, x)
+        self.steps.append((self.dec_h, x) + out)
+        self.dec_h = out[0]
+
+
+def _start(lane_type, model: Model, kb: KnowledgeBase, item: QAItem, max_expressions,
+           encoding: Encoding) -> _Lane:
+    """A fresh lane: the assist state, and GO fed on the encoder's last state."""
+    state = DecodingState(kb, item.initial_vars(), max_expressions)
+    lane = lane_type(state, encoding.enc[-1], list(encoding.keys))
+    lane.step(model, _token_vector(model, (), model.token_index[GO]))
+    return lane
+
+
+def _valid_ids(model: Model, state: DecodingState) -> np.ndarray:
+    """The ids the assist allows next, sorted: the mask of every decoder step."""
+    return np.array(sorted(model.token_to_id(t) for t in state.valid_tokens()), dtype=np.int64)
+
+
+def _token_vector(model: Model, keys, token_id: int):
+    """What a token feeds the decoder: its token_emb row, or its memory key."""
+    if token_id >= model.n_static:
+        return keys[token_id - model.n_static]
+    return model.params.token_emb.data[token_id]
+
+
+def _feed(model: Model, lane: _Lane, token_id: int, logp: float) -> None:
+    """Consume one token of log probability logp: advance the assist
+    state and the decoder.
+
+    RETURN ends the program, so no GRU step follows it. ")" executes the
+    expression, and the decoder state that read it becomes the memory key
+    of the variable the expression creates.
+    """
+    token = model.id_to_token(token_id)
+    lane.state = lane.state.feed(token)
+    if token != RETURN:
+        lane.step(model, _token_vector(model, lane.keys, token_id))
+        if token == CLOSE:
+            lane.keys.append(lane.dec_h)
+    lane.token_ids = lane.token_ids + (token_id,)
+    lane.logprob += logp
+
+
+# ---------------------------------------------------------------------------
+# search-side decoding
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -296,11 +316,6 @@ class Candidate:
 
     def text(self) -> str:
         return " ".join(self.tokens)
-
-
-def _start_lane(model: Model, kb: KnowledgeBase, item: QAItem, max_expressions, encoding):
-    state, dec_h = _start(model, kb, item, max_expressions, encoding.last.data, tape=False)
-    return _Lane(state, dec_h, [k.data for k in encoding.keys])
 
 
 def _lane_scores(model: Model, enc: np.ndarray, lanes: list[_Lane]):
@@ -318,13 +333,6 @@ def _lane_scores(model: Model, enc: np.ndarray, lanes: list[_Lane]):
         valid_ids = _valid_ids(model, lane.state)
         out.append((valid_ids, nn.log_probs_over(logits, valid_ids)))
     return out
-
-
-def _advance(model: Model, lane: _Lane, token_id: int, logp: float) -> None:
-    """Mutate lane: consume the chosen token."""
-    lane.state, lane.dec_h = _feed(model, lane.state, lane.dec_h, lane.keys, token_id, tape=False)
-    lane.token_ids = lane.token_ids + (token_id,)
-    lane.logprob += logp
 
 
 def _finish(lane: _Lane) -> Candidate:
@@ -349,15 +357,15 @@ def beam_search(
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     encoding = encode(model, item)
-    live = [_start_lane(model, kb, item, max_expressions, encoding)]
+    live = [_start(_Lane, model, kb, item, max_expressions, encoding)]
     finished: list[Candidate] = []
     while live:
-        scored = _lane_scores(model, encoding.enc.data, live)
+        scored = _lane_scores(model, encoding.enc, live)
         expanded: list[_Lane] = []
         for lane, (valid_ids, logps) in zip(live, scored):
             for tid, lp in zip(valid_ids, logps):
                 branch = lane.clone()
-                _advance(model, branch, int(tid), float(lp))
+                _feed(model, branch, int(tid), float(lp))
                 if branch.done:
                     finished.append(_finish(branch))
                 else:
@@ -392,13 +400,13 @@ def sample_programs(
     """
     encoding = encode(model, item)
     lanes = [
-        _start_lane(model, kb, item, max_expressions, encoding) for _ in range(n_samples)
+        _start(_Lane, model, kb, item, max_expressions, encoding) for _ in range(n_samples)
     ]
     while True:
         active = [lane for lane in lanes if not lane.done]
         if not active:
             break
-        scored = _lane_scores(model, encoding.enc.data, active)
+        scored = _lane_scores(model, encoding.enc, active)
         for lane, (valid_ids, logps) in zip(active, scored):
             u = rng.random()
             probs = np.exp(logps)
@@ -409,7 +417,7 @@ def sample_programs(
                 if u < acc:
                     pick = j
                     break
-            _advance(model, lane, int(valid_ids[pick]), float(logps[pick]))
+            _feed(model, lane, int(valid_ids[pick]), float(logps[pick]))
     return [_finish(lane) for lane in lanes]
 
 
@@ -422,24 +430,24 @@ def next_token_distribution(
 ) -> dict[str, float]:
     """Model probabilities over the valid next tokens after a prefix."""
     encoding = encode(model, item)
-    lane = _start_lane(model, kb, item, max_expressions, encoding)
+    lane = _start(_Lane, model, kb, item, max_expressions, encoding)
     for token in prefix:
         if lane.done:
             raise ValueError("prefix continues past RETURN")
-        lane_scores = _lane_scores(model, encoding.enc.data, [lane])[0]
+        lane_scores = _lane_scores(model, encoding.enc, [lane])[0]
         tid = model.token_to_id(token)
         pos = np.nonzero(lane_scores[0] == tid)[0]
         if pos.size != 1:
             raise ValueError(f"prefix token {token!r} not valid at its position")
-        _advance(model, lane, tid, float(lane_scores[1][pos[0]]))
+        _feed(model, lane, tid, float(lane_scores[1][pos[0]]))
     if lane.done:
         return {}
-    valid_ids, logps = _lane_scores(model, encoding.enc.data, [lane])[0]
+    valid_ids, logps = _lane_scores(model, encoding.enc, [lane])[0]
     return {model.id_to_token(int(t)): float(np.exp(lp)) for t, lp in zip(valid_ids, logps)}
 
 
 # ---------------------------------------------------------------------------
-# training-side decoding (tape)
+# training-side replay
 
 
 def program_logprob(
@@ -449,28 +457,89 @@ def program_logprob(
     tokens: tuple[str, ...] | list[str],
     max_expressions: int = MAX_EXPRESSIONS,
 ) -> nn.Tensor:
-    """log p(tokens | question) as a tape scalar, for gradient ascent.
+    """log p(tokens | question) as a scalar Tensor, for gradient ascent.
 
-    Replays the decoder over the given program with the same masking the
-    search used; the returned Tensor backpropagates into every parameter
-    and through keys created mid-decode.
+    Replays the program on the decoder search uses, under the same assist
+    masks, and keeps what each layer's backward needs. ``nn.backward`` of
+    the result walks the program once in reverse, into every parameter
+    and through the memory keys made mid-decode.
     """
     params = model.params
     encoding = encode(model, item)
-    keys = list(encoding.keys)
-    state, dec_h = _start(model, kb, item, max_expressions, encoding.last, tape=True)
-    step_lps = []
+    lane = _start(_Replay, model, kb, item, max_expressions, encoding)
+    scored = []  # per token: the forwards of its attention, logits and softmax
     for token in tokens:
-        if state.terminated:
+        if lane.done:
             raise ValueError("program continues past RETURN")
-        att = nn.attention(params.attention, dec_h, encoding.enc)
-        logits = nn.output_logits(params.w_out, params.w_key, att, keys)
+        att = nn.attention(params.attention, lane.dec_h, encoding.enc)
+        logits, kmat, proj = nn.output_logits(params.w_out, params.w_key, att[0], lane.keys)
+        valid_ids = _valid_ids(model, lane.state)
         tid = model.token_to_id(token)
-        step_lps.append(nn.masked_log_prob(logits, _valid_ids(model, state), tid))
-        state, dec_h = _feed(model, state, dec_h, keys, tid, tape=True)
-    if not state.terminated:
+        pos = np.nonzero(valid_ids == tid)[0]
+        if pos.size != 1:
+            raise ValueError(f"chosen id {tid} not among valid ids")
+        logps = nn.log_probs_over(logits, valid_ids)
+        scored.append((att, kmat, proj, logps, valid_ids, logits.shape[0]))
+        _feed(model, lane, tid, float(logps[pos[0]]))
+    if not lane.done:
         raise ValueError("program does not end with RETURN")
-    return nn.addn(step_lps)
+    return nn.Tensor(lane.logprob, partial(_replay_back, model, item, encoding, lane, scored))
+
+
+def _replay_back(model, item, encoding, lane, scored, weight) -> None:
+    """Add the gradient of weight * log p to every parameter.
+
+    Token by token in reverse: the masked log-softmax, the output logits,
+    the attention, then the GRU step that made the state scoring the
+    token. The entity keys spread over their spans right after token 0's
+    logits; then come the GO step and the encoder in reverse. This order
+    fixes the summation order of every gradient.
+    """
+    params = model.params
+    n_static = model.n_static
+    hidden = params.hidden_dim
+    tokens = lane.token_ids
+    steps = lane.steps  # steps[t] made decoder state t, the one scoring tokens[t]
+    d_state = np.zeros((len(steps), hidden))
+    d_enc = np.zeros_like(encoding.enc)
+    # a key made by ")" is the decoder state that read it
+    close = model.token_index[CLOSE]
+    key_grads = [np.zeros(hidden) for _ in item.entities]
+    key_grads += [d_state[t + 1] for t, tid in enumerate(tokens) if tid == close]
+    token_grad = nn.grad_of(params.token_emb)
+    for t in reversed(range(len(tokens))):
+        att, kmat, proj, logps, valid_ids, size = scored[t]
+        g = nn.log_probs_over_back(weight, logps, valid_ids, tokens[t], size)
+        n_keys = 0 if kmat is None else kmat.shape[0]
+        g = nn.output_logits_back(params.w_out, params.w_key, g, att[0], kmat, proj,
+                                  key_grads[:n_keys])
+        if t == 0:
+            for ((start, end), _), dk in reversed(list(zip(item.entities, key_grads))):
+                d_enc[start:end] += dk / (end - start)
+        du, de = nn.attention_back(params.attention, g, steps[t][2], encoding.enc, *att)
+        d_state[t] += du
+        d_enc += de
+        if t > 0:
+            h, x, _, z, r, c = steps[t]
+            dx, dh = nn.gru_step_back(params.decoder, d_state[t], h, x, z, r, c)
+            fed = tokens[t - 1]
+            if fed < n_static:
+                token_grad[fed] += dx
+            else:
+                key_grads[fed - n_static] += dx
+            d_state[t - 1] += dh
+    h, x, _, z, r, c = steps[0]
+    dx, dh = nn.gru_step_back(params.decoder, d_state[0], h, x, z, r, c)
+    token_grad[model.token_index[GO]] += dx
+    d_enc[-1] += dh
+    word_grad = nn.grad_of(params.word_emb)
+    for i in reversed(range(len(encoding.word_ids))):
+        h = encoding.enc[i - 1] if i else np.zeros(hidden)
+        x = params.word_emb.data[encoding.word_ids[i]]
+        dx, dh = nn.gru_step_back(params.encoder, d_enc[i], h, x, *encoding.gates[i])
+        word_grad[encoding.word_ids[i]] += dx
+        if i:
+            d_enc[i - 1] += dh
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +572,7 @@ _CHECK_OBJECTIVES = {
 def grad_check(
     seed: int = 0, objective: str = "likelihood", embed_dim: int = 8, hidden: int = 12
 ) -> float:
-    """Max relative error between tape gradients and central differences.
+    """Max relative error between replay gradients and central differences.
 
     The loss is sum_i w_i * program_logprob(program_i) on a fixed tiny
     task, with the parameters of a model built at ``seed``: the replay
@@ -518,15 +587,14 @@ def grad_check(
     kb = KnowledgeBase(_CHECK_TRIPLES)
     model = build_model(kb, [_CHECK_ITEM], embed_dim, hidden, seed)
 
-    def loss() -> nn.Tensor:
-        return nn.addn([
-            nn.scale(program_logprob(model, kb, _CHECK_ITEM, tokens), weight)
-            for tokens, weight in terms
-        ])
+    def loss() -> float:
+        return sum(weight * float(program_logprob(model, kb, _CHECK_ITEM, tokens).data)
+                   for tokens, weight in terms)
 
     epsilon = 1e-5
     model.params.zero_grad()
-    nn.backward(loss())
+    for tokens, weight in terms:
+        nn.backward(program_logprob(model, kb, _CHECK_ITEM, tokens), weight)
     worst = 0.0
     for _, tensor in model.params.named_tensors():
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
@@ -535,9 +603,9 @@ def grad_check(
         for i in range(flat.shape[0]):
             saved = flat[i]
             flat[i] = saved + epsilon
-            up = float(loss().data)
+            up = loss()
             flat[i] = saved - epsilon
-            down = float(loss().data)
+            down = loss()
             flat[i] = saved
             fd = (up - down) / (2.0 * epsilon)
             err = abs(aflat[i] - fd) / max(abs(aflat[i]), abs(fd), 1e-3)

@@ -184,8 +184,7 @@ def _ascend(model, kb, item, programs, config) -> None:
     live = [(tokens, weight) for tokens, weight in programs if weight != 0.0]
     model.params.zero_grad()
     for tokens, weight in live:
-        logprob = program_logprob(model, kb, item, tokens, config.max_expressions)
-        nn.backward(nn.scale(logprob, weight))
+        nn.backward(program_logprob(model, kb, item, tokens, config.max_expressions), weight)
     if live:
         sgd_step(model.params, config.learning_rate)
 

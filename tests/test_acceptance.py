@@ -136,9 +136,9 @@ def test_criterion_04_gradient_check():
 
 
 def test_criterion_05_masked_softmax():
-    # the decoder's masked softmax: log_probs_over for search and
-    # masked_log_prob for the replay, whose tape gradient must be exactly
-    # zero at every invalid id
+    # the decoder's masked softmax: log_probs_over for search and replay,
+    # and log_probs_over_back for the replay, whose gradient must be
+    # exactly zero at every invalid id
     rng = np.random.default_rng(5)
     bad = 0
     worst = 0.0
@@ -153,10 +153,8 @@ def test_criterion_05_masked_softmax():
         err = abs(np.exp(logp).sum() - 1.0)
         worst = max(worst, err)
         pos = draw % len(valid_ids)  # no extra draws: the pairs stay those of rng 5
-        leaf = nn.leaf(logits)
-        lp = nn.masked_log_prob(leaf, valid_ids, int(valid_ids[pos]))
-        nn.backward(lp)
-        if err > 1e-12 or float(lp.data) != logp[pos] or np.any(leaf.grad[~mask] != 0.0):
+        grad = nn.log_probs_over_back(1.0, logp, valid_ids, int(valid_ids[pos]), n)
+        if err > 1e-12 or np.any(grad[~mask] != 0.0):
             bad += 1
     verdict(
         5, "masked softmax", bad == 0,

@@ -2,12 +2,18 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisplab import cli, programmer, taskgen, trainer
 from lisplab import kb as kbmod
 from lisplab import nnkernel as nn
+
+from oracles import byte_edits
 
 
 def run_cli(argv):
@@ -117,6 +123,74 @@ class TestConfig:
         path.write_text("beam_size\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key=value"):
             cli.load_config(str(path))
+
+    def test_non_utf8_rejected_with_path(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"beam_size = 7\n\xff\n")
+        with pytest.raises(ValueError) as info:
+            cli.load_config(str(path))
+        assert str(info.value) == f"{path}: not UTF-8 text"
+
+    def test_duplicate_key_rejected_with_line(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("beam_size = 4\n# again\nbeam_size = 9\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            cli.load_config(str(path))
+        assert str(info.value) == f"{path}:3: duplicate config key 'beam_size'"
+
+
+def write_config(path, cfg) -> None:
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in cfg.items()),
+                    encoding="utf-8")
+
+
+def load_config_or_reject(path):
+    """load_config's result, or None after a ValueError that names path;
+    any other exception fails the test."""
+    try:
+        return cli.load_config(str(path))
+    except ValueError as exc:
+        assert str(path) in str(exc), exc
+        return None
+
+
+# config values of the defaults' own types
+config_values = st.fixed_dictionaries({
+    key: st.integers(-10**6, 10**6) if type(default) is int
+    else st.floats(allow_nan=False)
+    for key, default in cli.config_defaults().items()
+})
+
+
+class TestConfigFuzz:
+    @given(config_values)
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            write_config(path, cfg)
+            loaded = cli.load_config(str(path))
+        assert loaded == cfg
+        assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in cfg.items()}
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_edited_bytes_load_or_raise(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            write_config(path, cli.config_defaults())
+            path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+            load_config_or_reject(path)
+
+    @given(st.binary(max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_bytes_load_or_raise(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            path.write_bytes(blob)
+            loaded = load_config_or_reject(path)
+        if loaded is not None:
+            assert set(loaded) == set(cli.config_defaults())
 
 
 class TestInitialVars:

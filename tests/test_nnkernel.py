@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from lisplab import nnkernel as nn
 from lisplab import programmer as pg
+from lisplab.kb import KnowledgeBase
 
 from oracles import scalar_attention, scalar_gru, scalar_softmax
 
@@ -23,8 +24,8 @@ class TestGRU:
         gp = make_gru(rng_of(), 3, 4)
         for _, t in gp.named("g"):
             t.data[...] = 0.0
-        out = nn.gru_step(gp, nn.leaf(np.zeros(4)), nn.leaf(np.ones(3)))
-        assert np.array_equal(out.data, np.zeros(4))
+        out = nn.gru_step(gp, np.zeros(4), np.ones(3))[0]
+        assert np.array_equal(out, np.zeros(4))
 
     def test_matches_scalar_reference(self):
         rng = rng_of(0)
@@ -33,29 +34,29 @@ class TestGRU:
         x = rng.uniform(-1, 1, 2)
         weights = {name.split(".")[1]: t.data.tolist() for name, t in gp.named("g")}
         expected = scalar_gru(weights, h.tolist(), x.tolist())
-        got = nn.gru_step(gp, nn.leaf(h), nn.leaf(x))
-        assert np.allclose(got.data, expected, atol=1e-12, rtol=0)
+        got = nn.gru_step(gp, h, x)[0]
+        assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
     def test_deterministic_bitwise(self):
         rng = rng_of(3)
         gp = make_gru(rng, 5, 7)
         h, x = rng.normal(size=7), rng.normal(size=5)
-        a = nn.gru_step(gp, nn.leaf(h), nn.leaf(x)).data
-        b = nn.gru_step(gp, nn.leaf(h), nn.leaf(x)).data
-        assert a.tobytes() == b.tobytes()
+        a = nn.gru_step(gp, h, x)
+        b = nn.gru_step(gp, h, x)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
     def test_shape_mismatch(self):
         gp = make_gru(rng_of(), 3, 4)
         with pytest.raises(ValueError):
-            nn.gru_step(gp, nn.leaf(np.zeros(3)), nn.leaf(np.zeros(3)))
+            nn.gru_step(gp, np.zeros(3), np.zeros(3))
 
     def test_np_twin_agrees(self):
         rng = rng_of(1)
         gp = make_gru(rng, 4, 6)
         h, x = rng.normal(size=6), rng.normal(size=4)
-        tape = nn.gru_step(gp, nn.leaf(h), nn.leaf(x)).data
+        full = nn.gru_step(gp, h, x)[0]
         twin = nn.gru_step_np(gp, h, x)
-        assert tape.tobytes() == twin.tobytes()  # one forward serves both
+        assert full.tobytes() == twin.tobytes()  # one forward serves both
 
     def test_np_twin_batched_rows_match_single(self):
         rng = rng_of(2)
@@ -73,7 +74,7 @@ class TestAttention:
         ap = nn.AttentionParams.init(rng, 4)
         u = rng.normal(size=4)
         enc = rng.normal(size=(1, 4))
-        out = nn.attention(ap, nn.leaf(u), nn.leaf(enc)).data
+        out = nn.attention(ap, u, enc)[0]
         cat = np.concatenate([u, enc[0]])
         assert np.array_equal(out, np.tanh(ap.w_combine.data @ cat))
 
@@ -83,8 +84,9 @@ class TestAttention:
         u = rng.normal(size=3)
         row_ = rng.normal(size=3)
         enc = np.stack([row_, row_])
-        out = nn.attention(ap, nn.leaf(u), nn.leaf(enc)).data
+        out, _, weights, _ = nn.attention(ap, u, enc)
         cat = np.concatenate([u, row_])
+        assert weights.tolist() == [0.5, 0.5]
         assert np.allclose(out, np.tanh(ap.w_combine.data @ cat), atol=1e-15, rtol=0)
 
     def test_matches_scalar_reference(self):
@@ -95,22 +97,22 @@ class TestAttention:
         _, expected = scalar_attention(
             ap.w_score.data.tolist(), ap.w_combine.data.tolist(), u.tolist(), enc.tolist()
         )
-        got = nn.attention(ap, nn.leaf(u), nn.leaf(enc)).data
+        got = nn.attention(ap, u, enc)[0]
         assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
     def test_empty_encoder_errors(self):
         ap = nn.AttentionParams.init(rng_of(), 3)
         with pytest.raises(ValueError):
-            nn.attention(ap, nn.leaf(np.zeros(3)), nn.leaf(np.zeros((0, 3))))
+            nn.attention(ap, np.zeros(3), np.zeros((0, 3)))
 
     def test_np_twin_agrees(self):
         rng = rng_of(5)
         ap = nn.AttentionParams.init(rng, 6)
         u = rng.normal(size=6)
         enc = rng.normal(size=(7, 6))
-        tape = nn.attention(ap, nn.leaf(u), nn.leaf(enc)).data
+        full = nn.attention(ap, u, enc)[0]
         twin = nn.attention_np(ap, u, enc)
-        assert tape.tobytes() == twin.tobytes()  # one forward serves both
+        assert full.tobytes() == twin.tobytes()  # one forward serves both
         batch = nn.attention_np(ap, np.stack([u, u * 2]), enc)
         assert np.allclose(batch[0], twin, atol=1e-12, rtol=0)
 
@@ -123,9 +125,16 @@ logits_and_masks = st.integers(2, 30).flatmap(
 )
 
 
+def onehot_minus_p(logp, valid_ids, chosen, size):
+    want = np.zeros(size)
+    want[valid_ids] = -np.exp(logp)
+    want[chosen] += 1.0
+    return want
+
+
 class TestMaskedSoftmax:
-    """The masked log-softmax of the decoder: log_probs_over (search) and
-    masked_log_prob (replay) over the valid ids only."""
+    """The decoder's masked log-softmax over the valid ids only:
+    log_probs_over and its backward log_probs_over_back."""
 
     def test_symmetry_fixture(self):
         out = nn.log_probs_over(np.zeros(3), np.array([0, 1]))
@@ -133,12 +142,10 @@ class TestMaskedSoftmax:
 
     def test_single_valid_token(self):
         logits = np.array([5.0, -2.0, 0.1])
-        assert nn.log_probs_over(logits, np.array([1])).tolist() == [0.0]
-        leaf = nn.leaf(logits)
-        lp = nn.masked_log_prob(leaf, np.array([1]), 1)
-        assert float(lp.data) == 0.0
-        nn.backward(lp)
-        assert leaf.grad.tolist() == [0.0, 0.0, 0.0]
+        logp = nn.log_probs_over(logits, np.array([1]))
+        assert logp.tolist() == [0.0]
+        grad = nn.log_probs_over_back(1.0, logp, np.array([1]), 1, 3)
+        assert grad.tolist() == [0.0, 0.0, 0.0]
 
     def test_closed_form_all_valid(self):
         logits = np.array([1.0, 2.0, 3.0])
@@ -149,17 +156,22 @@ class TestMaskedSoftmax:
     def test_all_masked_errors(self):
         with pytest.raises(ValueError):
             nn.log_probs_over(np.zeros(3), np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            nn.masked_log_prob(nn.leaf(np.zeros(3)), np.array([], dtype=np.int64), 0)
 
     def test_tape_matches_scalar_reference(self):
+        # value and gradient of the replay's masked log-softmax against
+        # the scalar softmax: log p and onehot - p
         rng = rng_of(0)
         logits = rng.normal(size=6)
         mask = [True, False, True, True, False, True]
+        valid_ids = np.nonzero(mask)[0]
         expected = scalar_softmax(logits.tolist(), mask)
-        for chosen in np.nonzero(mask)[0]:
-            got = nn.masked_log_prob(nn.leaf(logits), np.nonzero(mask)[0], int(chosen)).data
-            assert abs(float(got) - np.log(expected[chosen])) <= 1e-12
+        logp = nn.log_probs_over(logits, valid_ids)
+        for pos, chosen in enumerate(valid_ids):
+            assert abs(float(logp[pos]) - np.log(expected[chosen])) <= 1e-12
+            grad = nn.log_probs_over_back(1.0, logp, valid_ids, int(chosen), 6)
+            want = -np.array(expected)
+            want[chosen] += 1.0
+            assert np.allclose(grad, want, atol=1e-12, rtol=0)
 
     @given(logits_and_masks)
     @settings(max_examples=200)
@@ -174,29 +186,30 @@ class TestMaskedSoftmax:
     @given(logits_and_masks)
     @settings(max_examples=100)
     def test_log_probs_consistent(self, pair):
-        # replay's value is search's entry; its gradient is onehot - p on
-        # the valid ids and exactly 0 on the others
+        # the gradient of a chosen entry, scaled by g, is g * (onehot - p)
+        # on the valid ids and exactly 0 on the others
         logits, mask = pair
         valid_ids = np.nonzero(mask)[0]
         logp = nn.log_probs_over(logits, valid_ids)
-        for pos, chosen in enumerate(valid_ids):
-            leaf = nn.leaf(logits)
-            lp = nn.masked_log_prob(leaf, valid_ids, int(chosen))
-            assert float(lp.data) == logp[pos]
-            nn.backward(lp)
-            want = np.zeros_like(logits)
-            want[valid_ids] = -np.exp(logp)
-            want[chosen] += 1.0
-            assert np.allclose(leaf.grad, want, atol=1e-12, rtol=0)
-            assert (leaf.grad[~np.array(mask)] == 0.0).all()
+        for chosen in valid_ids:
+            for g in (1.0, -0.4):
+                grad = nn.log_probs_over_back(g, logp, valid_ids, int(chosen), len(logits))
+                want = g * onehot_minus_p(logp, valid_ids, chosen, len(logits))
+                assert np.allclose(grad, want, atol=1e-12, rtol=0)
+                assert (grad[~np.array(mask)] == 0.0).all()
 
 
-def fd_check(loss_fn, tensors, epsilon=1e-6, tol=1e-6):
-    """Generic finite-difference check for toy graphs."""
+def add_grad(t, g):
+    grad = nn.grad_of(t)
+    grad += g
+
+
+def fd_check(loss_fn, backward_fn, tensors, epsilon=1e-6, tol=1e-6):
+    """Finite differences of the float loss_fn() against the gradients
+    backward_fn() leaves in each tensor's .grad."""
     for t in tensors:
         t.grad = None
-    loss = loss_fn()
-    nn.backward(loss)
+    backward_fn()
     for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         flat = t.data.reshape(-1)
@@ -204,63 +217,98 @@ def fd_check(loss_fn, tensors, epsilon=1e-6, tol=1e-6):
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + epsilon
-            up = float(loss_fn().data)
+            up = loss_fn()
             flat[i] = saved - epsilon
-            down = float(loss_fn().data)
+            down = loss_fn()
             flat[i] = saved
             fd = (up - down) / (2 * epsilon)
             assert abs(aflat[i] - fd) <= tol * max(1.0, abs(fd)), (i, aflat[i], fd)
 
 
+def logit_loss(logits, valid_ids, chosen):
+    """log p(chosen) and its logit gradient, as the replay takes them."""
+    logp = nn.log_probs_over(logits, valid_ids)
+    pos = int(np.nonzero(valid_ids == chosen)[0][0])
+    return float(logp[pos]), nn.log_probs_over_back(1.0, logp, valid_ids, chosen, len(logits))
+
+
 class TestBackward:
+    """Each layer's backward against finite differences of its forward."""
+
     def test_zero_objective_gradient_zero_param_gradient(self):
         rng = rng_of(0)
         w = nn.leaf(rng.normal(size=(3, 3)))
         wk = nn.leaf(rng.normal(size=(3, 3)))
-        v = nn.leaf(rng.normal(size=3))
-        key = nn.leaf(rng.normal(size=3))
-        logits = nn.output_logits(w, wk, v, [key])
-        nn.backward(nn.scale(nn.masked_log_prob(logits, np.arange(4), 1), 0.0))
-        for t in (w, wk, v, key):
-            assert np.array_equal(t.grad, np.zeros_like(t.data))
+        v = rng.normal(size=3)
+        key_grad = np.zeros(3)
+        logits, kmat, proj = nn.output_logits(w, wk, v, [rng.normal(size=3)])
+        logp = nn.log_probs_over(logits, np.arange(4))
+        g = nn.log_probs_over_back(0.0, logp, np.arange(4), 1, 4)
+        dv = nn.output_logits_back(w, wk, g, v, kmat, proj, [key_grad])
+        for grad in (w.grad, wk.grad, dv, key_grad):
+            assert np.array_equal(grad, np.zeros(grad.shape))
 
     def test_two_path_accumulation(self):
+        # logits 2 W v through two calls: each backward adds its share
         rng = rng_of(1)
         w = nn.leaf(rng.normal(size=(2, 3)))
         wk = nn.leaf(rng.normal(size=(3, 3)))
-        v = nn.leaf(rng.normal(size=3))
+        v = rng.normal(size=3)
         valid = np.array([0, 1])
-        logits = nn.addn([nn.output_logits(w, wk, v, []), nn.output_logits(w, wk, v, [])])
-        nn.backward(nn.masked_log_prob(logits, valid, 0))
-        # logits 2 W v, so dW = 2 outer(g, v) and dv = 2 W^T g with
-        # g = onehot(0) - softmax(2 W v); without keys W_key gets nothing
-        g = -np.exp(nn.log_probs_over(2 * w.data @ v.data, valid))
+        once = nn.output_logits(w, wk, v, [])[0]
+        _, gl = logit_loss(once + once, valid, 0)
+        dv = sum(nn.output_logits_back(w, wk, gl, v, None, None, []) for _ in range(2))
+        # so dW = 2 outer(g, v) and dv = 2 W^T g with g = onehot(0) -
+        # softmax(2 W v); without keys W_key gets nothing
+        g = -np.exp(nn.log_probs_over(2 * w.data @ v, valid))
         g[0] += 1.0
-        assert np.allclose(w.grad, 2 * np.outer(g, v.data), atol=1e-15)
-        assert np.allclose(v.grad, 2 * w.data.T @ g, atol=1e-15)
+        assert np.allclose(w.grad, 2 * np.outer(g, v), atol=1e-15)
+        assert np.allclose(dv, 2 * w.data.T @ g, atol=1e-15)
         assert wk.grad is None
 
     def test_reused_tensor_through_gru_chain(self):
+        # x feeds two chained steps; its gradient is the sum of both
         rng = rng_of(2)
         gp = make_gru(rng, 3, 3)
         x = nn.leaf(rng.normal(size=3))
         tensors = [t for _, t in gp.named("g")] + [x]
+        valid = np.arange(3)
+
+        def forward():
+            h0 = np.zeros(3)
+            first = nn.gru_step(gp, h0, x.data)
+            second = nn.gru_step(gp, first[0], x.data)
+            return h0, first, second
 
         def loss_fn():
-            h = nn.leaf(np.zeros(3))
-            h = nn.gru_step(gp, h, x)
-            h = nn.gru_step(gp, h, x)
-            return nn.masked_log_prob(h, np.arange(3), 0)
+            return logit_loss(forward()[2][0], valid, 0)[0]
 
-        fd_check(loss_fn, tensors)
+        def backward_fn():
+            h0, first, second = forward()
+            _, g = logit_loss(second[0], valid, 0)
+            dx, dh = nn.gru_step_back(gp, g, first[0], x.data, *second[1:])
+            add_grad(x, dx)
+            dx, _ = nn.gru_step_back(gp, dh, h0, x.data, *first[1:])
+            add_grad(x, dx)
+
+        fd_check(loss_fn, backward_fn, tensors)
 
     def test_attention_gradients(self):
         rng = rng_of(3)
         ap = nn.AttentionParams.init(rng, 4)
         u = nn.leaf(rng.normal(size=4))
         enc = nn.leaf(rng.normal(size=(3, 4)))
-        tensors = [ap.w_score, ap.w_combine, u, enc]
-        fd_check(lambda: nn.masked_log_prob(nn.attention(ap, u, enc), np.arange(4), 2), tensors)
+        valid = np.arange(4)
+
+        def backward_fn():
+            att = nn.attention(ap, u.data, enc.data)
+            _, g = logit_loss(att[0], valid, 2)
+            du, denc = nn.attention_back(ap, g, u.data, enc.data, *att)
+            add_grad(u, du)
+            add_grad(enc, denc)
+
+        fd_check(lambda: logit_loss(nn.attention(ap, u.data, enc.data)[0], valid, 2)[0],
+                 backward_fn, [ap.w_score, ap.w_combine, u, enc])
 
     def test_output_logits_gradients(self):
         # static logits W_out a, then key_i . (W_key a); the loss picks a
@@ -270,13 +318,23 @@ class TestBackward:
         wk = nn.leaf(rng.normal(size=(4, 4)))
         a = nn.leaf(rng.normal(size=4))
         keys = [nn.leaf(rng.normal(size=4)) for _ in range(3)]
-        logits = nn.output_logits(w, wk, a, keys).data
+        logits = nn.output_logits(w, wk, a.data, [k.data for k in keys])[0]
         kmat = np.stack([k.data for k in keys])
         want = np.concatenate([w.data @ a.data, kmat @ (wk.data @ a.data)])
         assert logits.tobytes() == want.tobytes()
         valid = np.array([0, 2, 3, 5, 6, 7])
+
+        def forward():
+            return nn.output_logits(w, wk, a.data, [k.data for k in keys])
+
         for chosen in (2, 6):
-            fd_check(lambda: nn.masked_log_prob(nn.output_logits(w, wk, a, keys), valid, chosen),
+            def backward_fn():
+                logits, kmat, proj = forward()
+                _, g = logit_loss(logits, valid, chosen)
+                key_grads = [nn.grad_of(k) for k in keys]
+                add_grad(a, nn.output_logits_back(w, wk, g, a.data, kmat, proj, key_grads))
+
+            fd_check(lambda: logit_loss(forward()[0], valid, chosen)[0], backward_fn,
                      [w, wk, a] + keys)
 
     def test_output_logits_without_keys(self):
@@ -284,41 +342,56 @@ class TestBackward:
         w = nn.leaf(rng.normal(size=(4, 3)))
         wk = nn.leaf(rng.normal(size=(3, 3)))
         a = nn.leaf(rng.normal(size=3))
-        logits = nn.output_logits(w, wk, a, [])
-        assert logits.data.tobytes() == (w.data @ a.data).tobytes()
-        fd_check(lambda: nn.masked_log_prob(nn.output_logits(w, wk, a, []), np.arange(4), 1),
-                 [w, wk, a])
+        logits, kmat, proj = nn.output_logits(w, wk, a.data, [])
+        assert logits.tobytes() == (w.data @ a.data).tobytes()
+        assert kmat is None and proj is None
+        valid = np.arange(4)
+
+        def backward_fn():
+            _, g = logit_loss(nn.output_logits(w, wk, a.data, [])[0], valid, 1)
+            add_grad(a, nn.output_logits_back(w, wk, g, a.data, None, None, []))
+
+        fd_check(lambda: logit_loss(nn.output_logits(w, wk, a.data, [])[0], valid, 1)[0],
+                 backward_fn, [w, wk, a])
         assert wk.grad is None
 
     def test_masked_log_prob_gradients(self):
         rng = rng_of(5)
         logits = nn.leaf(rng.normal(size=8))
         valid = np.array([1, 3, 4, 6])
-        fd_check(lambda: nn.masked_log_prob(logits, valid, 3), [logits])
+        fd_check(lambda: logit_loss(logits.data, valid, 3)[0],
+                 lambda: add_grad(logits, logit_loss(logits.data, valid, 3)[1]), [logits])
 
     def test_masked_log_prob_rejects_invalid_choice(self):
-        logits = nn.leaf(np.zeros(4))
-        with pytest.raises(ValueError):
-            nn.masked_log_prob(logits, np.array([0, 1]), 3)
+        # the replay refuses a token outside the assist mask
+        kb = KnowledgeBase([("a", "p", "b")])
+        item = pg.QAItem("q", ("what", "is", "a"), (((2, 3), "a"),), ("b",))
+        model = pg.build_model(kb, [item], 4, 5)
+        with pytest.raises(ValueError, match="not among valid ids"):
+            pg.program_logprob(model, kb, item, ("(", "Hop", "R0", "RETURN"))
 
     def test_span_mean_and_stack_gradients(self):
-        rng = rng_of(6)
-        vecs = [nn.leaf(rng.normal(size=3)) for _ in range(4)]
-
-        def loss_fn():
-            mat = nn.stack(vecs)
-            return nn.masked_log_prob(nn.span_mean(mat, 1, 3), np.arange(3), 1)
-
-        fd_check(loss_fn, vecs)
+        # an entity's key is the mean of its span's encoder states, so the
+        # replay's gradient reaches the span's word embeddings and every
+        # encoder step through that mean
+        kb = KnowledgeBase([("ab", "p", "c"), ("ab", "q", "d")])
+        item = pg.QAItem("q", ("what", "a", "b", "is"), (((1, 3), "ab"),), ("c",))
+        model = pg.build_model(kb, [item], 3, 4, seed=2)
+        tokens = ("(", "Hop", "R0", "p", ")", "RETURN")
+        tensors = [model.params.word_emb] + [t for _, t in model.params.encoder.named("e")]
+        fd_check(lambda: float(pg.program_logprob(model, kb, item, tokens).data),
+                 lambda: nn.backward(pg.program_logprob(model, kb, item, tokens)), tensors)
 
     def test_backward_needs_scalar(self):
         with pytest.raises(ValueError):
             nn.backward(nn.leaf(np.zeros(3)))
+        with pytest.raises(ValueError):
+            nn.backward(nn.leaf(0.0))  # a scalar that no replay made
 
 
 class TestGradCheck:
     """programmer.grad_check: finite differences on the programmer's own
-    replay, which runs every backward pass above as training wires them."""
+    replay, which runs every backward above as training wires them."""
 
     def test_likelihood_small(self):
         err = pg.grad_check(seed=0, embed_dim=4, hidden=5)
@@ -333,14 +406,14 @@ class TestGradCheck:
             pg.grad_check(objective="nonsense")
 
     def test_detached_memory_keys_are_caught(self, monkeypatch):
-        # the replay looks output_logits up at call time, so cutting the
-        # gradient into the memory keys there must show in the check
-        original = nn.output_logits
+        # the replay looks output_logits_back up at call time, so cutting
+        # the gradient into the memory keys there must show in the check
+        original = nn.output_logits_back
 
-        def detached(w_out, w_key, a, keys):
-            return original(w_out, w_key, a, [nn.leaf(k.data) for k in keys])
+        def detached(w_out, w_key, g, a, kmat, proj, key_grads):
+            return original(w_out, w_key, g, a, kmat, proj, [np.zeros_like(k) for k in key_grads])
 
-        monkeypatch.setattr(nn, "output_logits", detached)
+        monkeypatch.setattr(nn, "output_logits_back", detached)
         for objective in ("likelihood", "policy"):
             err = pg.grad_check(seed=0, objective=objective, embed_dim=4, hidden=5)
             assert err > 1e-4, (objective, err)

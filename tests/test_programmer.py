@@ -112,14 +112,14 @@ class TestEncode:
         item = item_of()
         encoding = pg.encode(model, item)
         assert len(encoding.keys) == 1
-        expected = encoding.enc.data[2:4].mean(axis=0)
-        assert np.array_equal(encoding.keys[0].data, expected)
+        expected = encoding.enc[2:4].mean(axis=0)
+        assert np.array_equal(encoding.keys[0], expected)
 
     def test_single_token_span_key_is_that_output(self):
         model = tiny_model()
         item = item_of(spans=(((2, 3), "abe"),))
         encoding = pg.encode(model, item)
-        assert np.array_equal(encoding.keys[0].data, encoding.enc.data[2])
+        assert np.array_equal(encoding.keys[0], encoding.enc[2])
 
     def test_matches_manual_np_unroll(self):
         model = tiny_model()
@@ -132,8 +132,9 @@ class TestEncode:
             h = nn.gru_step_np(params.encoder, h, params.word_emb.data[wid])
             rows.append(h)
         encoding = pg.encode(model, item)
-        assert np.allclose(encoding.enc.data, np.stack(rows), atol=1e-12, rtol=0)
-        assert np.array_equal(encoding.last.data, rows[-1])
+        assert np.allclose(encoding.enc, np.stack(rows), atol=1e-12, rtol=0)
+        assert np.array_equal(encoding.enc[-1], rows[-1])
+        assert encoding.word_ids == [model.word_index.get(w, 0) for w in item.abstracted()]
 
     def test_empty_question_errors(self):
         model = tiny_model()
@@ -143,17 +144,17 @@ class TestEncode:
     def test_independent_of_decoder_params(self):
         model = tiny_model()
         item = item_of()
-        before = pg.encode(model, item).enc.data.copy()
+        before = pg.encode(model, item).enc.copy()
         model.params.decoder.wxz.data += 1.0
         model.params.w_out.data += 1.0
-        after = pg.encode(model, item).enc.data
+        after = pg.encode(model, item).enc
         assert np.array_equal(before, after)
 
     def test_unknown_words_share_unk(self):
         model = tiny_model()
         a = pg.QAItem("a", ("zzz", "was", "abe", "lincoln", "born"), (((2, 4), "abe"),), ("x",))
         b = pg.QAItem("b", ("qqq", "was", "abe", "lincoln", "born"), (((2, 4), "abe"),), ("x",))
-        assert np.array_equal(pg.encode(model, a).enc.data, pg.encode(model, b).enc.data)
+        assert np.array_equal(pg.encode(model, a).enc, pg.encode(model, b).enc)
 
 
 class TestDistribution:
