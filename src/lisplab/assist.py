@@ -27,6 +27,7 @@ from .interpreter import (
     SIGNATURES,
     apply_function,
     slot_properties,
+    variable_token,
 )
 from .kb import EntitySet, KnowledgeBase
 
@@ -117,7 +118,7 @@ class DecodingState:
             return slot_properties(self.kb, func, chosen)
         live = [v for v in self.var_values if v]
         return frozenset(
-            f"R{i}" for i, v in enumerate(self.var_values)
+            variable_token(i) for i, v in enumerate(self.var_values)
             if v and self._fillable(func, chosen + [v], live)
         )
 

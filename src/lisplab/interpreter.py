@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .kb import EntitySet, KnowledgeBase, UnknownPropertyError, value_kind
 
@@ -59,6 +60,12 @@ def variable_index(token: str) -> int | None:
     """R7 -> 7; None for anything else (R05 is not a variable)."""
     m = _VAR_RE.match(token)
     return int(m.group(1)) if m else None
+
+
+@cache
+def variable_token(index: int) -> str:
+    """7 -> R7, one shared string per index."""
+    return f"R{index}"
 
 
 @dataclass(frozen=True)

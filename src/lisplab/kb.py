@@ -346,7 +346,11 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     triples: list[Triple] = []
     aliases: dict[str, EntityId] = {}
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise KBLoadError(f"{path}: not UTF-8 text") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue

@@ -182,12 +182,11 @@ class ModelParams:
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
+    exp never overflows. minimum(x, -x), not -abs(x), keeps a NaN's sign."""
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def gru_step(gp: GRUParams, h: np.ndarray, x: np.ndarray):

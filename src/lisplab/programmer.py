@@ -21,12 +21,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
 from . import nnkernel as nn
 from .assist import DecodingState
-from .interpreter import CLOSE, FUNCS, MAX_EXPRESSIONS, OPEN, RETURN, variable_index
+from .interpreter import (
+    CLOSE, FUNCS, MAX_EXPRESSIONS, OPEN, RETURN, variable_index, variable_token,
+)
 from .kb import EntitySet, KnowledgeBase, canon
 
 GO = "GO"
@@ -112,7 +115,7 @@ class Model:
     def id_to_token(self, tid: int) -> str:
         if tid < self.n_static:
             return self.static_tokens[tid]
-        return f"R{tid - self.n_static}"
+        return variable_token(tid - self.n_static)
 
 
 def static_token_list(kb: KnowledgeBase) -> list[str]:
@@ -305,7 +308,7 @@ def _feed(model: Model, lane: _Lane, token_id: int, logp: float) -> None:
 # search-side decoding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A terminated hypothesis, ready for reward or reporting."""
 
@@ -350,30 +353,46 @@ def beam_search(
     """Length-unnormalized beam over assist-valid tokens.
 
     Ties break lexicographically on token-id sequences, so results are
-    a deterministic function of (model, kb, item). The finished pool is
-    never pruned during search, which makes the beam exhaustive whenever
-    beam_size is at least the number of live prefixes at every depth.
+    a deterministic function of (model, kb, item). Every expansion is
+    scored before it is fed, by its key (-log-prob, token ids), which
+    needs only the parent's log-prob and the token's. Only the beam_size
+    best non-RETURN expansions of each depth are fed, and only the
+    beam_size best RETURN expansions of the whole search are finished.
+    Only RETURN ends a program and the keys are unique, so the result is
+    the one of feeding every expansion and then cutting. The finished
+    pool is cut only against itself, which makes the beam exhaustive
+    whenever beam_size is at least the number of live prefixes at every
+    depth.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     encoding = encode(model, item)
+    return_id = model.token_index[RETURN]
     live = [_start(_Lane, model, kb, item, max_expressions, encoding)]
-    finished: list[Candidate] = []
+    returns: list[tuple] = []  # the best (key, parent, logp) RETURN expansions so far
     while live:
         scored = _lane_scores(model, encoding.enc, live)
-        expanded: list[_Lane] = []
+        expansions = []
         for lane, (valid_ids, logps) in zip(live, scored):
-            for tid, lp in zip(valid_ids, logps):
-                branch = lane.clone()
-                _feed(model, branch, int(tid), float(lp))
-                if branch.done:
-                    finished.append(_finish(branch))
+            for tid, lp in zip(valid_ids.tolist(), logps.tolist()):
+                key = (-(lane.logprob + lp), lane.token_ids + (tid,))
+                if tid == return_id:
+                    returns.append((key, lane, lp))
                 else:
-                    expanded.append(branch)
-        expanded.sort(key=lambda l: (-l.logprob, l.token_ids))
-        live = expanded[:beam_size]
-    finished.sort(key=lambda c: (-c.logprob, c.token_ids))
-    return finished[:beam_size]
+                    expansions.append((key, lane, tid, lp))
+        returns = sorted(returns, key=itemgetter(0))[:beam_size]
+        expansions.sort(key=itemgetter(0))
+        live = []
+        for _, lane, tid, lp in expansions[:beam_size]:
+            branch = lane.clone()
+            _feed(model, branch, tid, lp)
+            live.append(branch)
+    finished = []
+    for _, lane, lp in returns:
+        branch = lane.clone()
+        _feed(model, branch, return_id, lp)
+        finished.append(_finish(branch))
+    return finished
 
 
 def greedy_decode(
@@ -419,31 +438,6 @@ def sample_programs(
                     break
             _feed(model, lane, int(valid_ids[pick]), float(logps[pick]))
     return [_finish(lane) for lane in lanes]
-
-
-def next_token_distribution(
-    model: Model,
-    kb: KnowledgeBase,
-    item: QAItem,
-    prefix: list[str] | tuple[str, ...] = (),
-    max_expressions: int = MAX_EXPRESSIONS,
-) -> dict[str, float]:
-    """Model probabilities over the valid next tokens after a prefix."""
-    encoding = encode(model, item)
-    lane = _start(_Lane, model, kb, item, max_expressions, encoding)
-    for token in prefix:
-        if lane.done:
-            raise ValueError("prefix continues past RETURN")
-        lane_scores = _lane_scores(model, encoding.enc, [lane])[0]
-        tid = model.token_to_id(token)
-        pos = np.nonzero(lane_scores[0] == tid)[0]
-        if pos.size != 1:
-            raise ValueError(f"prefix token {token!r} not valid at its position")
-        _feed(model, lane, tid, float(lane_scores[1][pos[0]]))
-    if lane.done:
-        return {}
-    valid_ids, logps = _lane_scores(model, encoding.enc, [lane])[0]
-    return {model.id_to_token(int(t)): float(np.exp(lp)) for t, lp in zip(valid_ids, logps)}
 
 
 # ---------------------------------------------------------------------------

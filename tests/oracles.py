@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: raw comprehensions over triple
 lists, no indices, no sharing with the package under test. Slow is fine;
-being obviously correct is the point. The one exception is
-``random_rollout``, which drives the package's own decoding state to
-sample programs for the soundness tests.
+being obviously correct is the point. The exceptions drive the
+package's own pieces: ``random_rollout`` its decoding state, to sample
+programs for the soundness tests, and ``next_token_distribution`` and
+``reference_beam`` its decoder rules, one prefix at a time and by
+feeding every expansion before the cut.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import datetime
 import random
 from itertools import product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from lisplab.assist import AssistError, DecodingState
 from lisplab.interpreter import MAX_EXPRESSIONS, Program, parse_program
+from lisplab.programmer import _feed, _finish, _Lane, _lane_scores, _start, encode
 
 Value = object
 
@@ -119,6 +123,17 @@ def scalar_sigmoid(v):
     import math
 
     return 1.0 / (1.0 + math.exp(-v))
+
+
+def two_branch_sigmoid(x):
+    """The logistic function by boolean indexing: 1 / (1 + exp(-x)) where
+    x >= 0, exp(x) / (1 + exp(x)) elsewhere (nan included)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def scalar_matvec(w, v):
@@ -317,3 +332,45 @@ def byte_edits(draw, blob: bytes) -> bytes:
         else:
             del out[at:]
     return bytes(out)
+
+
+def next_token_distribution(model, kb, item, prefix=(), max_expressions=MAX_EXPRESSIONS):
+    """Model probabilities over the valid next tokens after a prefix."""
+    encoding = encode(model, item)
+    lane = _start(_Lane, model, kb, item, max_expressions, encoding)
+    for token in prefix:
+        if lane.done:
+            raise ValueError("prefix continues past RETURN")
+        lane_scores = _lane_scores(model, encoding.enc, [lane])[0]
+        tid = model.token_to_id(token)
+        pos = np.nonzero(lane_scores[0] == tid)[0]
+        if pos.size != 1:
+            raise ValueError(f"prefix token {token!r} not valid at its position")
+        _feed(model, lane, tid, float(lane_scores[1][pos[0]]))
+    if lane.done:
+        return {}
+    valid_ids, logps = _lane_scores(model, encoding.enc, [lane])[0]
+    return {model.id_to_token(int(t)): float(np.exp(lp)) for t, lp in zip(valid_ids, logps)}
+
+
+def reference_beam(model, kb, item, beam_size, max_expressions=MAX_EXPRESSIONS):
+    """Beam search that feeds every valid expansion, then keeps the
+    beam_size best live ones by (-log-prob, token ids); every finished
+    expansion waits for the final cut."""
+    encoding = encode(model, item)
+    live = [_start(_Lane, model, kb, item, max_expressions, encoding)]
+    finished = []
+    while live:
+        expanded = []
+        for lane, (valid_ids, logps) in zip(live, _lane_scores(model, encoding.enc, live)):
+            for tid, lp in zip(valid_ids, logps):
+                branch = lane.clone()
+                _feed(model, branch, int(tid), float(lp))
+                if branch.done:
+                    finished.append(_finish(branch))
+                else:
+                    expanded.append(branch)
+        expanded.sort(key=lambda l: (-l.logprob, l.token_ids))
+        live = expanded[:beam_size]
+    finished.sort(key=lambda c: (-c.logprob, c.token_ids))
+    return finished[:beam_size]

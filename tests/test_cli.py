@@ -472,6 +472,13 @@ class TestMalformedInputs:
         assert_one_error_line(["gen-data", "--kb", bench["kb"], "--n-train", "-1",
                                "--out-train", outs[0], "--out-dev", outs[1], "--out-test", outs[2]])
 
+    def test_kb_not_utf8(self, bench, tmp_path):
+        kb = tmp_path / "bad_kb.tsv"
+        with open(bench["kb"], "rb") as fh:
+            kb.write_bytes(fh.readline() + b"\xff\n")
+        line = assert_one_error_line(["exec", "--kb", str(kb), "--program", "RETURN"])
+        assert line == f"error: {kb}: not UTF-8 text"
+
     @pytest.mark.parametrize("program", ["( Hop R0 NoSuchProperty ) RETURN", "( Hop R0 rel0"],
                              ids=["unknown-property", "unterminated"])
     def test_bad_exec_program(self, bench, program):

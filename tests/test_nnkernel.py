@@ -8,7 +8,7 @@ from lisplab import nnkernel as nn
 from lisplab import programmer as pg
 from lisplab.kb import KnowledgeBase
 
-from oracles import scalar_attention, scalar_gru, scalar_softmax
+from oracles import scalar_attention, scalar_gru, scalar_softmax, two_branch_sigmoid
 
 
 def rng_of(seed=0):
@@ -66,6 +66,37 @@ class TestGRU:
         for i in range(5):
             single = nn.gru_step_np(gp, hs[i], xs[i])
             assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0,
+               np.inf, -np.inf, np.nan, -np.nan]
+
+    @staticmethod
+    def assert_bitwise(x):
+        got, want = nn._sigmoid_np(x), two_branch_sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), x
+
+    def test_special_values_bitwise(self):
+        self.assert_bitwise(np.array(self.SPECIAL))
+        for v in self.SPECIAL:
+            self.assert_bitwise(np.array([v]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_arrays_bitwise(self, seed):
+        rng = rng_of(seed)
+        for n in range(200):
+            shape = (rng.integers(1, 129),) if n % 2 else tuple(rng.integers(1, 33, size=2))
+            x = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=shape)
+            x.flat[rng.integers(0, x.size, size=2)] = rng.choice(self.SPECIAL, size=2)
+            self.assert_bitwise(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.one_of(st.integers(1, 64).map(lambda n: (n,)),
+                                        st.tuples(st.integers(1, 8), st.integers(1, 16)))))
+    def test_arbitrary_floats_bitwise(self, x):
+        self.assert_bitwise(x)
 
 
 class TestAttention:

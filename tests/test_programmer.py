@@ -1,3 +1,4 @@
+import random
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,10 @@ from lisplab import programmer as pg
 from lisplab.assist import DecodingState
 from lisplab.kb import KnowledgeBase
 
-from oracles import byte_edits, enumerate_programs, scalar_softmax
+from oracles import (
+    byte_edits, enumerate_programs, next_token_distribution, random_triples, reference_beam,
+    scalar_softmax,
+)
 
 KB_TRIPLES = [
     ("abe", "BornIn", "hodgenville"),
@@ -160,13 +164,13 @@ class TestEncode:
 class TestDistribution:
     def test_after_open_only_functions(self):
         model = tiny_model()
-        dist = pg.next_token_distribution(model, kb_of(), item_of(), ["("])
+        dist = next_token_distribution(model, kb_of(), item_of(), ["("])
         assert set(dist) <= {"Hop", "ArgMax", "ArgMin", "Equal"}
         assert abs(sum(dist.values()) - 1.0) < 1e-9
 
     def test_singleton_valid_set_has_probability_one(self):
         model = tiny_model()
-        dist = pg.next_token_distribution(
+        dist = next_token_distribution(
             model, kb_of(), item_of(), ["(", "Hop", "R0", "BornIn"]
         )
         assert dist == {")": 1.0}
@@ -192,14 +196,14 @@ class TestDistribution:
         mask = np.zeros(len(logits), dtype=bool)
         mask[valid] = True
         probs = scalar_softmax(logits.tolist(), mask.tolist())
-        dist = pg.next_token_distribution(model, kb, item)
+        dist = next_token_distribution(model, kb, item)
         for tok, p in dist.items():
             assert abs(p - probs[model.token_to_id(tok)]) < 1e-9
 
     def test_invalid_prefix_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            pg.next_token_distribution(model, kb_of(), item_of(), ["Hop"])
+            next_token_distribution(model, kb_of(), item_of(), ["Hop"])
 
 
 class TestBeamSearch:
@@ -214,7 +218,7 @@ class TestBeamSearch:
         logprob = 0.0
         finished = []
         while True:
-            dist = pg.next_token_distribution(model, kb, item, prefix)
+            dist = next_token_distribution(model, kb, item, prefix)
             if "RETURN" in dist:
                 finished.append(
                     (tuple(prefix) + ("RETURN",), logprob + np.log(dist["RETURN"]))
@@ -265,6 +269,28 @@ class TestBeamSearch:
         b = pg.beam_search(model, kb, item, 5)
         assert [(c.tokens, c.logprob) for c in a] == [(c.tokens, c.logprob) for c in b]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_feed_every_expansion_reference(self, seed):
+        # random tiny KBs, one or two entities; odd seeds zero the
+        # parameters, so every step is uniform and keys tie on log-prob
+        rng = random.Random(seed)
+        triples, _, _ = random_triples(rng, n_entities=4, n_props=2)
+        kb = KnowledgeBase(triples)
+        subjects = sorted({s for s, _, _ in triples})
+        chosen = rng.sample(subjects, min(len(subjects), rng.randint(1, 2)))
+        spans = tuple(((2 * i + 1, 2 * i + 2), eid) for i, eid in enumerate(chosen))
+        words = " ".join(f"w{i} ent" for i in range(len(chosen)))
+        item = item_of(words, spans, (chosen[0],))
+        model = tiny_model(kb, [item], seed=seed)
+        if seed % 2:
+            for _, tensor in model.params.named_tensors():
+                tensor.data[...] = 0.0
+        for max_expressions in (1, 2, 3):
+            for beam_size in (1, 2, 3, 8, 10000):
+                got = pg.beam_search(model, kb, item, beam_size, max_expressions)
+                want = reference_beam(model, kb, item, beam_size, max_expressions)
+                assert got == want, (max_expressions, beam_size)
+
     def test_denotations_match_state_replay(self):
         kb = kb_of()
         model = tiny_model(kb)
@@ -295,7 +321,7 @@ class TestSampling:
         kb = KnowledgeBase([("a", "p", "b")])
         item = pg.QAItem("q", ("what", "is", "ent"), (((2, 3), "a"),), ("b",))
         model = pg.build_model(kb, [item], 4, 6, seed=2)
-        dist = pg.next_token_distribution(model, kb, item, max_expressions=1)
+        dist = next_token_distribution(model, kb, item, max_expressions=1)
         p_return = dist["RETURN"]
         n = 20000
         samples = pg.sample_programs(model, kb, item, n, np.random.default_rng(5), max_expressions=1)
