@@ -13,7 +13,11 @@ returns one Tensor whose backward walks that chain once in reverse;
 Each forward is written once, batched as ``x @ W.T``: the replay passes
 vectors, search and sampling pass vectors or (B, H) batches of lanes.
 For vectors ``x @ W.T`` is the same matrix-vector product as ``W @ x``,
-bit for bit. No GPU, no graph compiler, no broadcasting zoo.
+bit for bit. The GRU step takes a batch as (B, 1, n) stacks, which NumPy
+multiplies one matrix-vector product per row, so each row of a batched
+step has the bits of its own vector step; attention and the output
+logits multiply a batch as one matrix product. No GPU, no graph
+compiler, no broadcasting zoo.
 """
 
 from __future__ import annotations
@@ -189,16 +193,26 @@ def _sigmoid_np(x):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
+def _rows_at(x: np.ndarray, w: Tensor) -> np.ndarray:
+    """x @ W.T, each row of a (B, n) batch by the matrix-vector product a
+    vector x gets, so row b has the bits of x[b] @ W.T (a matrix product
+    would sum in another order)."""
+    if x.ndim == 1:
+        return x @ w.data.T
+    return (x[:, None, :] @ w.data.T)[:, 0, :]
+
+
 def gru_step(gp: GRUParams, h: np.ndarray, x: np.ndarray):
     """One GRU step; the update gate keeps the old state: h' = z*h + (1-z)*c.
 
     The reset gate r applies to the hidden path before the candidate c;
-    h, x are (H,)/(E,) or (B,H)/(B,E). Returns (h', z, r, c), the gates
-    being what gru_step_back needs.
+    h, x are (H,)/(E,) or (B,H)/(B,E), and each row of a batch gives the
+    bits of its own vector step. Returns (h', z, r, c), the gates being
+    what gru_step_back needs.
     """
-    z = _sigmoid_np(x @ gp.wxz.data.T + h @ gp.whz.data.T + gp.bz.data)
-    r = _sigmoid_np(x @ gp.wxr.data.T + h @ gp.whr.data.T + gp.br.data)
-    c = np.tanh(x @ gp.wxc.data.T + (r * h) @ gp.whc.data.T + gp.bc.data)
+    z = _sigmoid_np(_rows_at(x, gp.wxz) + _rows_at(h, gp.whz) + gp.bz.data)
+    r = _sigmoid_np(_rows_at(x, gp.wxr) + _rows_at(h, gp.whr) + gp.br.data)
+    c = np.tanh(_rows_at(x, gp.wxc) + _rows_at(r * h, gp.whc) + gp.bc.data)
     return z * h + (1.0 - z) * c, z, r, c
 
 

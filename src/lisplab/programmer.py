@@ -286,22 +286,36 @@ def _token_vector(model: Model, keys, token_id: int):
     return model.params.token_emb.data[token_id]
 
 
-def _feed(model: Model, lane: _Lane, token_id: int, logp: float) -> None:
-    """Consume one token of log probability logp: advance the assist
-    state and the decoder.
+def _feed(model: Model, lanes: list[_Lane], token_ids: list[int], logps: list[float]) -> None:
+    """Each lane consumes its token of log probability logp: advance the
+    assist states, then the decoders, all lanes in one GRU step.
 
     RETURN ends the program, so no GRU step follows it. ")" executes the
     expression, and the decoder state that read it becomes the memory key
-    of the variable the expression creates.
+    of the variable the expression creates. A single lane steps by its
+    own ``step``, so a replay records its gates; each row of a batched
+    step has the bits of that lane's own step.
     """
-    token = model.id_to_token(token_id)
-    lane.state = lane.state.feed(token)
-    if token != RETURN:
-        lane.step(model, _token_vector(model, lane.keys, token_id))
+    stepping, xs, closing = [], [], []
+    for lane, token_id, logp in zip(lanes, token_ids, logps):
+        token = model.id_to_token(token_id)
+        lane.state = lane.state.feed(token)
+        lane.token_ids = lane.token_ids + (token_id,)
+        lane.logprob += logp
+        if token != RETURN:
+            stepping.append(lane)
+            xs.append(_token_vector(model, lane.keys, token_id))
         if token == CLOSE:
-            lane.keys.append(lane.dec_h)
-    lane.token_ids = lane.token_ids + (token_id,)
-    lane.logprob += logp
+            closing.append(lane)
+    if len(stepping) == 1:
+        stepping[0].step(model, xs[0])
+    elif stepping:
+        hs = nn.gru_step_np(model.params.decoder,
+                            np.stack([lane.dec_h for lane in stepping]), np.stack(xs))
+        for lane, h in zip(stepping, hs):
+            lane.dec_h = h
+    for lane in closing:
+        lane.keys.append(lane.dec_h)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +396,12 @@ def beam_search(
                     expansions.append((key, lane, tid, lp))
         returns = sorted(returns, key=itemgetter(0))[:beam_size]
         expansions.sort(key=itemgetter(0))
-        live = []
-        for _, lane, tid, lp in expansions[:beam_size]:
-            branch = lane.clone()
-            _feed(model, branch, tid, lp)
-            live.append(branch)
-    finished = []
-    for _, lane, lp in returns:
-        branch = lane.clone()
-        _feed(model, branch, return_id, lp)
-        finished.append(_finish(branch))
-    return finished
+        survivors = expansions[:beam_size]
+        live = [lane.clone() for _, lane, _, _ in survivors]
+        _feed(model, live, [tid for _, _, tid, _ in survivors], [lp for *_, lp in survivors])
+    finished = [lane.clone() for _, lane, _ in returns]
+    _feed(model, finished, [return_id] * len(finished), [lp for *_, lp in returns])
+    return [_finish(lane) for lane in finished]
 
 
 def greedy_decode(
@@ -412,21 +421,21 @@ def sample_programs(
     rng: np.random.Generator,
     max_expressions: int = MAX_EXPRESSIONS,
 ) -> list[Candidate]:
-    """Ancestral sampling, n_samples lanes in lockstep.
+    """Ancestral sampling, n_samples lanes in lockstep, fed one batch per
+    step; every lane starts from one GO step.
 
     Randomness is consumed one uniform draw per unfinished lane per step,
     in lane order, so results depend only on the rng state and arguments.
     """
     encoding = encode(model, item)
-    lanes = [
-        _start(_Lane, model, kb, item, max_expressions, encoding) for _ in range(n_samples)
-    ]
+    first = _start(_Lane, model, kb, item, max_expressions, encoding)
+    lanes = [first.clone() for _ in range(n_samples)]
     while True:
         active = [lane for lane in lanes if not lane.done]
         if not active:
             break
-        scored = _lane_scores(model, encoding.enc, active)
-        for lane, (valid_ids, logps) in zip(active, scored):
+        picks, picked_logps = [], []
+        for valid_ids, logps in _lane_scores(model, encoding.enc, active):
             u = rng.random()
             probs = np.exp(logps)
             acc = 0.0
@@ -436,7 +445,9 @@ def sample_programs(
                 if u < acc:
                     pick = j
                     break
-            _feed(model, lane, int(valid_ids[pick]), float(logps[pick]))
+            picks.append(int(valid_ids[pick]))
+            picked_logps.append(float(logps[pick]))
+        _feed(model, active, picks, picked_logps)
     return [_finish(lane) for lane in lanes]
 
 
@@ -474,7 +485,7 @@ def program_logprob(
             raise ValueError(f"chosen id {tid} not among valid ids")
         logps = nn.log_probs_over(logits, valid_ids)
         scored.append((att, kmat, proj, logps, valid_ids, logits.shape[0]))
-        _feed(model, lane, tid, float(logps[pos[0]]))
+        _feed(model, [lane], [tid], [float(logps[pos[0]])])
     if not lane.done:
         raise ValueError("program does not end with RETURN")
     return nn.Tensor(lane.logprob, partial(_replay_back, model, item, encoding, lane, scored))

@@ -4,9 +4,10 @@ Everything here is deliberately naive: raw comprehensions over triple
 lists, no indices, no sharing with the package under test. Slow is fine;
 being obviously correct is the point. The exceptions drive the
 package's own pieces: ``random_rollout`` its decoding state, to sample
-programs for the soundness tests, and ``next_token_distribution`` and
-``reference_beam`` its decoder rules, one prefix at a time and by
-feeding every expansion before the cut.
+programs for the soundness tests, and ``next_token_distribution``,
+``reference_beam`` and ``reference_samples`` its decoder rules, one lane
+and one token at a time: one prefix, feeding every expansion before the
+cut, and one GO step and one feed per sampling lane.
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def next_token_distribution(model, kb, item, prefix=(), max_expressions=MAX_EXPR
         pos = np.nonzero(lane_scores[0] == tid)[0]
         if pos.size != 1:
             raise ValueError(f"prefix token {token!r} not valid at its position")
-        _feed(model, lane, tid, float(lane_scores[1][pos[0]]))
+        _feed(model, [lane], [tid], [float(lane_scores[1][pos[0]])])
     if lane.done:
         return {}
     valid_ids, logps = _lane_scores(model, encoding.enc, [lane])[0]
@@ -365,7 +366,7 @@ def reference_beam(model, kb, item, beam_size, max_expressions=MAX_EXPRESSIONS):
         for lane, (valid_ids, logps) in zip(live, _lane_scores(model, encoding.enc, live)):
             for tid, lp in zip(valid_ids, logps):
                 branch = lane.clone()
-                _feed(model, branch, int(tid), float(lp))
+                _feed(model, [branch], [int(tid)], [float(lp)])
                 if branch.done:
                     finished.append(_finish(branch))
                 else:
@@ -374,3 +375,26 @@ def reference_beam(model, kb, item, beam_size, max_expressions=MAX_EXPRESSIONS):
         live = expanded[:beam_size]
     finished.sort(key=lambda c: (-c.logprob, c.token_ids))
     return finished[:beam_size]
+
+
+def reference_samples(model, kb, item, n_samples, rng, max_expressions=MAX_EXPRESSIONS):
+    """Ancestral sampling with one GO step per lane and each lane fed on
+    its own: one uniform draw per unfinished lane per step, in lane order."""
+    encoding = encode(model, item)
+    lanes = [_start(_Lane, model, kb, item, max_expressions, encoding) for _ in range(n_samples)]
+    while True:
+        active = [lane for lane in lanes if not lane.done]
+        if not active:
+            break
+        for lane, (valid_ids, logps) in zip(active, _lane_scores(model, encoding.enc, active)):
+            u = rng.random()
+            probs = np.exp(logps)
+            acc = 0.0
+            pick = len(valid_ids) - 1
+            for j, p in enumerate(probs):
+                acc += p
+                if u < acc:
+                    pick = j
+                    break
+            _feed(model, [lane], [int(valid_ids[pick])], [float(logps[pick])])
+    return [_finish(lane) for lane in lanes]

@@ -59,13 +59,19 @@ class TestGRU:
         assert full.tobytes() == twin.tobytes()  # one forward serves both
 
     def test_np_twin_batched_rows_match_single(self):
+        # search steps a depth's lanes as one batch and relies on each row
+        # having the bits of that lane's own vector step; (in, hidden) with
+        # E != H, then the encoder's and the decoder's default dims
         rng = rng_of(2)
-        gp = make_gru(rng, 4, 6)
-        hs, xs = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
-        batch = nn.gru_step_np(gp, hs, xs)
-        for i in range(5):
-            single = nn.gru_step_np(gp, hs[i], xs[i])
-            assert np.allclose(batch[i], single, atol=1e-12, rtol=0)
+        for in_dim, hidden in ((4, 6), (9, 5), (32, 64), (64, 64)):
+            gp = make_gru(rng, in_dim, hidden)
+            for b in range(1, 41):
+                hs, xs = rng.normal(size=(b, hidden)), rng.normal(size=(b, in_dim))
+                batch = nn.gru_step_np(gp, hs, xs)
+                assert batch.shape == (b, hidden)
+                for i in range(b):
+                    single = nn.gru_step_np(gp, hs[i], xs[i])
+                    assert batch[i].tobytes() == single.tobytes(), (in_dim, hidden, b, i)
 
 
 class TestSigmoid:

@@ -14,7 +14,7 @@ from lisplab.kb import KnowledgeBase
 
 from oracles import (
     byte_edits, enumerate_programs, next_token_distribution, random_triples, reference_beam,
-    scalar_softmax,
+    reference_samples, scalar_softmax,
 )
 
 KB_TRIPLES = [
@@ -300,7 +300,65 @@ class TestBeamSearch:
             assert cand.denotation == state.denotation()
 
 
+def random_task(seed):
+    """A random tiny KB, a question over one or two of its entities, and a
+    model of the default dims for them; odd seeds zero every parameter, so
+    every step is uniform and keys tie on log-prob."""
+    rng = random.Random(seed)
+    triples, _, _ = random_triples(rng, n_entities=4, n_props=2)
+    kb = KnowledgeBase(triples)
+    subjects = sorted({s for s, _, _ in triples})
+    chosen = rng.sample(subjects, min(len(subjects), rng.randint(1, 2)))
+    spans = tuple(((2 * i + 1, 2 * i + 2), eid) for i, eid in enumerate(chosen))
+    words = " ".join(f"w{i} ent" for i in range(len(chosen)))
+    item = item_of(words, spans, (chosen[0],))
+    model = pg.build_model(kb, [item], seed=seed)
+    if seed % 2:
+        for _, tensor in model.params.named_tensors():
+            tensor.data[...] = 0.0
+    return kb, item, model
+
+
+class TestFeed:
+    @pytest.mark.parametrize("seed", (0, 2, 4))
+    def test_batch_equals_one_lane_at_a_time(self, seed):
+        # sampled log-probs often round a last-bit change of the decoder
+        # state away, so compare the states themselves: each lane fed in a
+        # batch keeps the bytes of the same lane fed alone, keys included
+        kb, item, model = random_task(seed)
+        encoding = pg.encode(model, item)
+        rng = random.Random(seed)
+        lanes = [pg._start(pg._Lane, model, kb, item, 3, encoding) for _ in range(16)]
+        while True:
+            active = [lane for lane in lanes if not lane.done]
+            if not active:
+                break
+            alone = [lane.clone() for lane in active]
+            tids = [rng.choice(pg._valid_ids(model, lane.state).tolist()) for lane in active]
+            logps = [-rng.random() for _ in active]
+            pg._feed(model, active, tids, logps)
+            for lane, tid, logp in zip(alone, tids, logps):
+                pg._feed(model, [lane], [tid], [logp])
+            for a, b in zip(active, alone):
+                assert a.dec_h.tobytes() == b.dec_h.tobytes()
+                assert [k.tobytes() for k in a.keys] == [k.tobytes() for k in b.keys]
+                assert (a.token_ids, a.logprob, a.state.emitted) == \
+                    (b.token_ids, b.logprob, b.state.emitted)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_lane_reference(self, seed):
+        kb, item, model = random_task(seed)
+        for max_expressions in (1, 2, 3):
+            for n_samples in (1, 2, 8, 33):
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = pg.sample_programs(model, kb, item, n_samples, rngs[0], max_expressions)
+                want = reference_samples(model, kb, item, n_samples, rngs[1], max_expressions)
+                assert got == want, (max_expressions, n_samples)
+                # the same number of draws
+                assert rngs[0].random() == rngs[1].random()
+
     def test_seeded_determinism(self):
         kb = kb_of()
         model = tiny_model(kb)
